@@ -1,32 +1,29 @@
 // Hot-path sweep of the two-stage construction kernel: stage-1 + stage-2
 // throughput as a function of the write-combining buffer (route_buffer_keys),
-// the stage-2 prefetch lookahead (prefetch_distance), the encode/probe
-// kernel dispatch (--simd: scalar reference loops vs. runtime-resolved AVX2
-// SoA tiles), the stage-2 probe parallelism (--cursors: 0 = in-order drain,
-// >= 2 = multi-cursor batched probing), huge-page table backing
-// (--huge-pages), and the workload cardinality (--cardinality, a sweep list —
-// r shifts the distinct-key population and therefore the table/TLB pressure).
+// the encode kernel dispatch (--simd: scalar reference loops vs.
+// runtime-resolved AVX2 SoA tiles), and the workload cardinality
+// (--cardinality, a sweep list — r shifts the distinct-key population and
+// therefore the table/TLB pressure).
 //
 // Every swept configuration is verified to produce a table identical to the
-// scalar baseline (route_buffer_keys = 1, prefetch_distance = 0,
-// encode_block_rows = 1, simd = scalar, cursors = 0, normal pages) on the
-// same workload — same distinct keys, same total count, same
-// order-independent content checksum — before its timing is reported; a
-// faster build of a different table would be worthless.
+// scalar baseline (route_buffer_keys = 1, encode_block_rows = 1,
+// simd = scalar) on the same workload — same distinct keys, same total
+// count, same order-independent content checksum — before its timing is
+// reported; a faster build of a different table would be worthless.
 //
 // Reported per configuration: best-of-reps wall clock, the critical path
 // max_p(stage1_p) + max_p(stage2_p) (the makespan a P-core machine would
 // observe; on hosts with fewer cores than P the wall clock serializes the
 // workers and stops being informative — the JSON records host_cores), rows/s
-// on the critical path, speedup vs the scalar baseline, the effective SIMD
-// level, and the huge-page backing outcome.
+// on the critical path, speedup vs the scalar baseline, and the effective
+// SIMD level.
 //
 // Machine-readable output: a BENCH_build_hot_path.json datapoint with one
 // "sweeps" entry per cardinality (path configurable with --json-out, empty
 // string disables), plus the same JSON on stdout.
 //
 //   ./build_hot_path --samples 1000000 --variables 30 --threads 8
-//       --cardinality 2,4,8 --simd scalar,auto --cursors 0,16 --huge-pages 0,1
+//       --cardinality 2,4,8 --buffers 1,64 --simd scalar,auto
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -49,7 +46,6 @@ struct SweepConfig {
   std::size_t variables = 0;
   std::size_t threads = 8;
   std::size_t reps = 2;
-  bool pipelined = false;
   std::uint64_t seed = 42;
 };
 
@@ -78,18 +74,13 @@ TableDigest digest_of(const PotentialTable& table) {
 
 struct Knobs {
   std::size_t buffer = 1;
-  std::size_t prefetch = 0;
   std::size_t strip = 1;
   simd::Policy simd = simd::Policy::kScalar;
-  std::size_t cursors = 0;
-  bool huge_pages = false;
 };
 
 struct ConfigResult {
   Knobs knobs;
   simd::Level level = simd::Level::kScalar;  // effective, from BuildStats
-  std::size_t huge_tables = 0;
-  std::size_t huge_fallbacks = 0;
   double wall_seconds = 0.0;
   double critical_seconds = 0.0;
   bool identical = false;
@@ -105,13 +96,9 @@ WaitFreeBuilderOptions options_for(const SweepConfig& config,
                                    const Knobs& knobs) {
   WaitFreeBuilderOptions options;
   options.threads = config.threads;
-  options.pipelined = config.pipelined;
   options.route_buffer_keys = knobs.buffer;
-  options.prefetch_distance = knobs.prefetch;
   options.encode_block_rows = knobs.strip;
   options.simd = knobs.simd;
-  options.probe_cursors = knobs.cursors;
-  options.huge_pages = knobs.huge_pages;
   return options;
 }
 
@@ -129,8 +116,6 @@ ConfigResult run_config(const Dataset& data, const SweepConfig& config,
     result.critical_seconds =
         std::min(result.critical_seconds, stats.critical_path_seconds());
     result.level = stats.simd_level;
-    result.huge_tables = stats.huge_page_tables;
-    result.huge_fallbacks = stats.huge_page_fallbacks;
     if (rep == 0) result.identical = digest_of(table) == reference;
   }
   return result;
@@ -159,8 +144,8 @@ std::vector<simd::Policy> parse_simd_list(const std::string& text) {
 
 int main(int argc, char** argv) {
   CliParser cli(
-      "build_hot_path — kernel-dispatch / write-combining / probe sweep of "
-      "the two-stage construction kernel");
+      "build_hot_path — kernel-dispatch / write-combining sweep of the "
+      "two-stage construction kernel");
   cli.add_option("samples", "1000000", "Training rows m");
   cli.add_option("variables", "30", "Variables n");
   cli.add_option("cardinality", "2",
@@ -168,18 +153,12 @@ int main(int argc, char** argv) {
   cli.add_option("threads", "8", "Workers (= partitions) P");
   cli.add_option("buffers", "1,64",
                  "route_buffer_keys values to sweep (1 = scalar routing)");
-  cli.add_option("prefetch", "0,4", "prefetch_distance values to sweep");
   cli.add_option("encode-rows", "32",
                  "encode_block_rows for swept configs (baseline always 1)");
   cli.add_option("simd", "scalar,auto",
                  "Kernel dispatch policies to sweep: auto|scalar|avx2");
-  cli.add_option("cursors", "0,16",
-                 "probe_cursors values to sweep (0 = in-order drain)");
-  cli.add_option("huge-pages", "0",
-                 "Huge-page table backing values to sweep (0 and/or 1)");
   cli.add_option("reps", "2", "Repetitions per configuration (best-of)");
   cli.add_option("seed", "42", "Workload seed");
-  cli.add_flag("pipelined", "Sweep the barrier-free pipelined variant");
   cli.add_option("json-out", "BENCH_build_hot_path.json",
                  "JSON datapoint path (empty disables the file)");
   if (!cli.parse(argc, argv)) return 0;
@@ -189,15 +168,12 @@ int main(int argc, char** argv) {
   config.variables = static_cast<std::size_t>(cli.get_int("variables"));
   config.threads = static_cast<std::size_t>(cli.get_int("threads"));
   config.reps = static_cast<std::size_t>(cli.get_int("reps"));
-  config.pipelined = cli.get_bool("pipelined");
   config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   const auto strip = static_cast<std::size_t>(cli.get_int("encode-rows"));
   const std::string json_out = cli.get("json-out");
   const std::vector<std::int64_t> cardinalities =
       cli.get_int_list("cardinality");
   const std::vector<simd::Policy> policies = parse_simd_list(cli.get("simd"));
-  const std::vector<std::int64_t> cursor_list = cli.get_int_list("cursors");
-  const std::vector<std::int64_t> huge_list = cli.get_int_list("huge-pages");
 
   std::printf("host simd level: %s\n", simd::level_name(simd::detected()));
 
@@ -210,7 +186,6 @@ int main(int argc, char** argv) {
           ", \"variables\": " + std::to_string(config.variables) +
           ", \"threads\": " + std::to_string(config.threads) +
           ", \"encode_block_rows\": " + std::to_string(strip) +
-          ", \"pipelined\": " + (config.pipelined ? "true" : "false") +
           ", \"reps\": " + std::to_string(config.reps) +
           ", \"seed\": " + std::to_string(config.seed) + "},\n";
   json += "  \"sweeps\": [\n";
@@ -223,8 +198,7 @@ int main(int argc, char** argv) {
     const Dataset data =
         generate_uniform(config.samples, config.variables, r, config.seed);
 
-    // Scalar baseline: block size 1 at every layer, reference kernels,
-    // in-order probing, normal pages.
+    // Scalar baseline: block size 1 at every layer, reference kernels.
     WaitFreeBuilder scalar(options_for(config, Knobs{}));
     TableDigest reference;
     double scalar_wall = 1e300;
@@ -241,32 +215,20 @@ int main(int argc, char** argv) {
 
     std::vector<ConfigResult> results;
     for (const simd::Policy policy : policies) {
-      for (const std::int64_t cursors : cursor_list) {
-        for (const std::int64_t huge : huge_list) {
-          for (const std::int64_t buffer : cli.get_int_list("buffers")) {
-            for (const std::int64_t prefetch : cli.get_int_list("prefetch")) {
-              Knobs knobs;
-              knobs.buffer = static_cast<std::size_t>(buffer);
-              knobs.prefetch = static_cast<std::size_t>(prefetch);
-              knobs.strip = strip;
-              knobs.simd = policy;
-              knobs.cursors = static_cast<std::size_t>(cursors);
-              knobs.huge_pages = huge != 0;
-              results.push_back(run_config(data, config, knobs, reference));
-            }
-          }
-        }
+      for (const std::int64_t buffer : cli.get_int_list("buffers")) {
+        Knobs knobs;
+        knobs.buffer = static_cast<std::size_t>(buffer);
+        knobs.strip = strip;
+        knobs.simd = policy;
+        results.push_back(run_config(data, config, knobs, reference));
       }
     }
 
-    TablePrinter table({"simd", "cursors", "huge", "buffer", "prefetch",
-                        "wall s", "critical s", "rows/s", "speedup",
-                        "identical"});
+    TablePrinter table({"simd", "buffer", "wall s", "critical s", "rows/s",
+                        "speedup", "identical"});
     for (const ConfigResult& res : results) {
       table.add_row(
-          {simd::level_name(res.level), std::to_string(res.knobs.cursors),
-           res.knobs.huge_pages ? "on" : "off",
-           std::to_string(res.knobs.buffer), std::to_string(res.knobs.prefetch),
+          {simd::level_name(res.level), std::to_string(res.knobs.buffer),
            TablePrinter::fmt(res.wall_seconds, 3),
            TablePrinter::fmt(res.critical_seconds, 3),
            TablePrinter::fmt(res.rows_per_sec(config.samples), 0),
@@ -289,17 +251,13 @@ int main(int argc, char** argv) {
       char row[512];
       std::snprintf(
           row, sizeof row,
-          "      {\"route_buffer_keys\": %zu, \"prefetch_distance\": %zu, "
-          "\"simd\": \"%s\", \"simd_level\": \"%s\", \"probe_cursors\": %zu, "
-          "\"huge_pages\": %s, \"huge_page_tables\": %zu, "
-          "\"huge_page_fallbacks\": %zu, \"wall_seconds\": %.6f, "
+          "      {\"route_buffer_keys\": %zu, \"simd\": \"%s\", "
+          "\"simd_level\": \"%s\", \"wall_seconds\": %.6f, "
           "\"critical_path_seconds\": %.6f, \"rows_per_sec\": %.1f, "
           "\"speedup_vs_scalar\": %.3f, \"identical_to_scalar\": %s}%s\n",
-          res.knobs.buffer, res.knobs.prefetch,
-          simd::policy_name(res.knobs.simd), simd::level_name(res.level),
-          res.knobs.cursors, res.knobs.huge_pages ? "true" : "false",
-          res.huge_tables, res.huge_fallbacks, res.wall_seconds,
-          res.critical_seconds, res.rows_per_sec(config.samples),
+          res.knobs.buffer, simd::policy_name(res.knobs.simd),
+          simd::level_name(res.level), res.wall_seconds, res.critical_seconds,
+          res.rows_per_sec(config.samples),
           scalar_critical / res.critical_seconds,
           res.identical ? "true" : "false",
           i + 1 == results.size() ? "" : ",");

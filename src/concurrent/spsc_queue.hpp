@@ -6,8 +6,8 @@
 // pushes; during stage 2 only core q pops; the barrier between the stages
 // gives the strict SPSC discipline. The queue is nevertheless correct under
 // *concurrent* single-producer/single-consumer access (producer publishes a
-// chunk's fill count with release stores, consumer reads with acquire loads),
-// which is what the pipelined builder variant exercises.
+// chunk's fill count with release stores, consumer reads with acquire loads);
+// the wfcheck harnesses and the concurrent queue tests check that contract.
 //
 // Two transfer granularities share the chunk representation:
 //  - item-at-a-time: push() / try_pop(), one release/acquire pair per item;
@@ -229,8 +229,8 @@ class SpscQueue {
     return chunk->next.load(std::memory_order_acquire);
   }
 
-  // Producer-only and consumer-only state live on separate cache lines so the
-  // pipelined builder variant does not induce false sharing between the ends.
+  // Producer-only and consumer-only state live on separate cache lines so
+  // concurrent use does not induce false sharing between the ends.
   alignas(64) Chunk* tail_chunk_;
   std::uint64_t pushed_ = 0;
   alignas(64) Chunk* head_chunk_;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/info_theory.hpp"
-#include "core/marginalizer.hpp"
 #include "util/error.hpp"
 #include "util/fault_injection.hpp"
 #include "util/timer.hpp"
@@ -102,9 +100,6 @@ MiMatrix BasicAllPairsMi<K>::compute(const Table& table, ThreadPool& pool) {
     case AllPairsStrategy::kPairParallel:
       out = compute_pair_parallel(table, pool);
       break;
-    case AllPairsStrategy::kEntryParallel:
-      out = compute_entry_parallel(table, pool);
-      break;
     case AllPairsStrategy::kFused:
       out = compute_fused(table, pool);
       break;
@@ -146,27 +141,6 @@ MiMatrix BasicAllPairsMi<K>::compute_pair_parallel(const Table& table,
     stats_.worker_seconds[w] = timer.seconds();
     stats_.worker_entries_visited[w] = visited;
   });
-  return out;
-}
-
-template <typename K>
-MiMatrix BasicAllPairsMi<K>::compute_entry_parallel(const Table& table,
-                                                    ThreadPool& pool) {
-  const std::size_t n = table.codec().variable_count();
-  const auto pairs = enumerate_pairs(n);
-  MiMatrix out(n);
-  const BasicMarginalizer<K> marginalizer(pool.size());
-
-  for (const auto& [i, j] : pairs) {
-    const std::size_t vars[] = {i, j};
-    const MarginalTable joint = marginalizer.marginalize(table, vars, pool);
-    out.set(i, j, mutual_information(joint));
-    const auto& ws = marginalizer.worker_stats();
-    for (std::size_t w = 0; w < ws.size(); ++w) {
-      stats_.worker_seconds[w] += ws[w].seconds;
-      stats_.worker_entries_visited[w] += ws[w].entries_visited;
-    }
-  }
   return out;
 }
 

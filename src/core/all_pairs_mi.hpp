@@ -4,20 +4,16 @@
 // single-variable marginals are derived from the pair table — Eq. 1's three
 // marginalizations collapse into one, as §IV-C describes).
 //
-// Three scheduling strategies (DESIGN.md ablation ABL-MI):
+// Two scheduling strategies (DESIGN.md ablation ABL-MI):
 //  - kPairParallel   pairs are block-distributed over the workers; each
 //                    worker sweeps the whole table per pair (Algorithm 4's
 //                    round-robin pair scheduling).
-//  - kEntryParallel  pairs run one at a time; each marginalization is
-//                    data-parallel over table partitions (Algorithm 3 inside
-//                    Algorithm 4).
 //  - kFused          one parallel sweep of the table; each worker decodes a
 //                    key once and updates all n(n−1)/2 private pair tables,
 //                    which are then tree-merged. Fewest table passes.
 //
-// A template over the key type; the pair-parallel strategy decodes single
-// variables through KeyTraits' VarLeg recipe, so every strategy works at
-// both key widths.
+// A template over the key type; both strategies decode single variables
+// through KeyTraits' VarLeg recipe, so each works at both key widths.
 #pragma once
 
 #include <cstdint>
@@ -56,7 +52,8 @@ class MiMatrix {
   std::vector<double> cells_;
 };
 
-enum class AllPairsStrategy { kPairParallel, kEntryParallel, kFused };
+/// Explicit values keep each strategy's id stable as strategies are retired.
+enum class AllPairsStrategy { kPairParallel = 0, kFused = 2 };
 
 struct AllPairsOptions {
   std::size_t threads = 1;
@@ -88,7 +85,6 @@ class BasicAllPairsMi {
 
  private:
   MiMatrix compute_pair_parallel(const Table& table, ThreadPool& pool);
-  MiMatrix compute_entry_parallel(const Table& table, ThreadPool& pool);
   MiMatrix compute_fused(const Table& table, ThreadPool& pool);
 
   AllPairsOptions options_;

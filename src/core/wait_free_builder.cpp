@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
-#include <optional>
 #include <utility>
 
 #include "concurrent/affinity.hpp"
 #include "concurrent/barrier.hpp"
-#include "concurrent/retire_gate.hpp"
 #include "concurrent/spsc_queue.hpp"
 #include "util/error.hpp"
 #include "util/fault_injection.hpp"
@@ -45,8 +43,8 @@ class QueueFabric {
 /// Per-worker software write-combining router (stage 1): a small staging
 /// buffer per destination worker; a full buffer is flushed into the SPSC
 /// fabric with one bulk publish (SpscQueue::push_block) instead of one
-/// release store per key. The caller flushes the remainder at stage/batch
-/// boundaries (flush_all, ascending destination order). With
+/// release store per key. The caller flushes the remainder before the
+/// barrier (flush_all, ascending destination order). With
 /// buffer_keys == 1 every route() flushes immediately, which is exactly the
 /// pre-block scalar behavior.
 template <typename K>
@@ -109,33 +107,6 @@ std::vector<std::size_t> partition_owners(std::size_t parts,
   return owner;
 }
 
-/// Per-worker progress counter on its own cache line (the stall watchdog sums
-/// these; sharing a line would make every bump a coherence miss).
-struct alignas(64) ProgressCell {
-  std::atomic<std::uint64_t> value{0};
-};
-
-/// Tallies the partitions' huge-page outcomes into the build stats. Read
-/// after the kernel: grows re-allocate, so only the final backing matters.
-template <typename K>
-void collect_page_backing(const BasicPartitionedTable<K>& table,
-                          BuildStats& stats) {
-  stats.huge_page_tables = 0;
-  stats.huge_page_fallbacks = 0;
-  for (std::size_t p = 0; p < table.partition_count(); ++p) {
-    switch (table.partition(p).backing()) {
-      case PageBacking::kHugeAdvised:
-        ++stats.huge_page_tables;
-        break;
-      case PageBacking::kHugeFallback:
-        ++stats.huge_page_fallbacks;
-        break;
-      case PageBacking::kHeap:
-        break;
-    }
-  }
-}
-
 }  // namespace
 
 std::uint64_t BuildStats::total_foreign_pushes() const noexcept {
@@ -176,13 +147,10 @@ template <typename K>
 BasicWaitFreeBuilder<K>::BasicWaitFreeBuilder(WaitFreeBuilderOptions options)
     : options_(options) {
   WFBN_EXPECT(options_.threads >= 1, "builder needs at least one thread");
-  WFBN_EXPECT(options_.pipeline_batch >= 1, "pipeline batch must be >= 1");
   WFBN_EXPECT(options_.route_buffer_keys >= 1,
               "route buffer must hold at least one key");
   WFBN_EXPECT(options_.encode_block_rows >= 1,
               "encode block must hold at least one row");
-  WFBN_EXPECT(options_.stall_timeout_seconds >= 0.0,
-              "stall timeout cannot be negative");
 }
 
 template <typename K>
@@ -209,8 +177,16 @@ template <typename K>
 BasicPotentialTable<K> BasicWaitFreeBuilder<K>::build(const Dataset& data,
                                                       ThreadPool& pool) {
   WFBN_EXPECT(data.sample_count() > 0, "cannot build a table from no data");
-  return options_.pipelined ? build_pipelined(data, pool)
-                            : build_phased(data, pool);
+  const std::size_t P = pool.size();
+  const Codec codec = Traits::make_codec(data.cardinalities());
+  BasicPartitionedTable<K> table(
+      P, Traits::state_space_bound(codec), options_.scheme,
+      expected_entries_per_partition(data, codec, P));
+  Timer total_timer;
+  run_phased(data, codec, table, pool);
+  stats_.total_seconds = total_timer.seconds();
+  return Table(codec, std::move(table),
+               static_cast<std::uint64_t>(data.sample_count()));
 }
 
 template <typename K>
@@ -235,8 +211,7 @@ void BasicWaitFreeBuilder<K>::append(const Dataset& data, Table& table) {
   // Any failure up to and including the kernel leaves `table` untouched.
   BasicPartitionedTable<K> scratch(
       parts, table.partitions().state_space(), table.partitions().scheme(),
-      expected_entries_per_partition(data, table.codec(), parts),
-      options_.huge_pages);
+      expected_entries_per_partition(data, table.codec(), parts));
   run_phased(data, table.codec(), scratch, pool);
 
   WFBN_FAULT_POINT(fault::Point::kAppendCommit);
@@ -267,21 +242,6 @@ BasicPotentialTable<K> BasicWaitFreeBuilder<K>::append_shadow(
 }
 
 template <typename K>
-BasicPotentialTable<K> BasicWaitFreeBuilder<K>::build_phased(
-    const Dataset& data, ThreadPool& pool) {
-  const std::size_t P = pool.size();
-  const Codec codec = Traits::make_codec(data.cardinalities());
-  BasicPartitionedTable<K> table(
-      P, Traits::state_space_bound(codec), options_.scheme,
-      expected_entries_per_partition(data, codec, P), options_.huge_pages);
-  Timer total_timer;
-  run_phased(data, codec, table, pool);
-  stats_.total_seconds = total_timer.seconds();
-  return Table(codec, std::move(table),
-               static_cast<std::uint64_t>(data.sample_count()));
-}
-
-template <typename K>
 void BasicWaitFreeBuilder<K>::run_phased(const Dataset& data,
                                          const Codec& codec,
                                          BasicPartitionedTable<K>& table,
@@ -300,8 +260,6 @@ void BasicWaitFreeBuilder<K>::run_phased(const Dataset& data,
 
   const std::size_t m = data.sample_count();
   const std::size_t strip = options_.encode_block_rows;
-  const std::size_t prefetch = options_.prefetch_distance;
-  const std::size_t cursors = options_.probe_cursors;
   // Resolved once per build: the whole kernel runs one dispatch level, and
   // the effective level (after host/env/forced downgrades) is reported.
   const simd::Level level = simd::resolve(options_.simd);
@@ -378,49 +336,31 @@ void BasicWaitFreeBuilder<K>::run_phased(const Dataset& data,
     if (stage1_error) std::rethrow_exception(stage1_error);
 
     // ---- Stage 2 (Algorithm 2): drain queues addressed to me, one whole
-    // published chunk span per acquire load, batch-folding each span with
-    // probe prefetching. After a throw there is no further synchronization,
-    // so exceptions propagate directly (the pool collects the first one).
+    // published chunk span per acquire load. A worker that owns exactly one
+    // partition folds each span with multi-cursor probing; with faults armed
+    // (once-per-drained-key fault-point semantics) or a degraded pool (several
+    // partitions per worker) every key goes to its owning partition one at a
+    // time. After a throw there is no further synchronization, so exceptions
+    // propagate directly (the pool collects the first one).
     stage_timer.reset();
     if (my_lo < my_hi) {
-      BasicOpenHashTable<K>* sole =
-          (my_hi - my_lo == 1) ? &table.partition(my_lo) : nullptr;
-      // Multi-cursor probing when asked for (>= 2 cursors); otherwise the
-      // in-order drain behind a DrainStream, so the prefetch window carries
-      // across consume spans instead of collapsing at every span tail.
-      const bool batched = !inject && sole != nullptr && cursors >= 2;
-      std::optional<typename BasicOpenHashTable<K>::DrainStream> stream;
-      if (!inject && sole != nullptr && !batched) {
-        stream.emplace(*sole, prefetch);
-      }
+      const bool batched = !inject && my_hi - my_lo == 1;
+      BasicOpenHashTable<K>& sole = table.partition(my_lo);
       for (std::size_t src = 0; src < W; ++src) {
         if (src == w) continue;
         SpscQueue<K>& queue = queues.at(src, w);
         ws.stage2_pops += queue.consume([&](const K* span, std::size_t count) {
           ++ws.bulk_pops;
-          if (inject) {
-            // Scalar fallback keeps the once-per-drained-key fault-point
-            // semantics the injection sweeps rely on.
-            for (std::size_t k = 0; k < count; ++k) {
-              fault::fire(fault::Point::kStage2Drain);
-              if (sole != nullptr) {
-                sole->increment(span[k]);
-              } else {
-                table.partition(table.owner_of(span[k])).increment(span[k]);
-              }
-            }
-          } else if (batched) {
-            sole->increment_block_batched(span, count, cursors);
-          } else if (stream) {
-            stream->feed(span, count);
-          } else {
-            for (std::size_t k = 0; k < count; ++k) {
-              table.partition(table.owner_of(span[k])).increment(span[k]);
-            }
+          if (batched) {
+            sole.increment_block_batched(span, count);
+            return;
+          }
+          for (std::size_t k = 0; k < count; ++k) {
+            if (inject) fault::fire(fault::Point::kStage2Drain);
+            table.partition(table.owner_of(span[k])).increment(span[k]);
           }
         });
       }
-      if (stream) stream->finish();
     }
     ws.stage2_seconds = stage_timer.seconds();
   });
@@ -429,195 +369,6 @@ void BasicWaitFreeBuilder<K>::run_phased(const Dataset& data,
   // The slowest worker's wait bounds what the barrier costs the makespan.
   stats_.barrier_seconds =
       *std::max_element(barrier_waits.begin(), barrier_waits.end());
-  collect_page_backing(table, stats_);
-}
-
-template <typename K>
-BasicPotentialTable<K> BasicWaitFreeBuilder<K>::build_pipelined(
-    const Dataset& data, ThreadPool& pool) {
-  const std::size_t P = pool.size();
-  const Codec codec = Traits::make_codec(data.cardinalities());
-  BasicPartitionedTable<K> table(
-      P, Traits::state_space_bound(codec), options_.scheme,
-      expected_entries_per_partition(data, codec, P), options_.huge_pages);
-  QueueFabric<K> queues(P);
-  stats_ = BuildStats{};
-  stats_.workers.assign(P, WorkerStats{});
-  stats_.requested_workers = pool.degradation().requested_threads;
-  stats_.effective_workers = P;
-  const simd::Level level = simd::resolve(options_.simd);
-  stats_.simd_level = level;
-  const std::uint64_t space = table.state_space();
-  const PartitionScheme scheme = table.scheme();
-  const std::size_t cursors = options_.probe_cursors;
-  std::atomic<std::size_t> pin_failures{0};
-  // Producer retirement + early wind-down (worker exception or watchdog
-  // stall). The gate's memory-order contract is model-checked in wfcheck's
-  // model_builder_retire harness.
-  RetireGate gate(P);
-  std::atomic<bool> stalled{false};
-  // Captured by the watchdog at detection time: by the time run() returns and
-  // we build the StallError, a transiently wedged producer may have finished,
-  // so reading producers_done afterwards would under-report the culprits.
-  std::atomic<std::size_t> stalled_unfinished{0};
-  std::vector<ProgressCell> progress(P);
-
-  const std::size_t m = data.sample_count();
-  const std::size_t batch = options_.pipeline_batch;
-  const std::size_t strip = options_.encode_block_rows;
-  const std::size_t prefetch = options_.prefetch_distance;
-  const double stall_timeout = options_.stall_timeout_seconds;
-  const bool watchdog = stall_timeout > 0.0;
-  Timer total_timer;
-
-  pool.run([&](std::size_t p) {
-    if (options_.pin_threads && !pin_current_thread(p)) {
-      pin_failures.fetch_add(1, std::memory_order_relaxed);
-    }
-    WorkerStats& ws = stats_.workers[p];
-    BasicOpenHashTable<K>& mine = table.partition(p);
-    const bool inject = fault::enabled();
-    Timer stage_timer;
-
-    // Same drain dispatch as the phased stage 2; the DrainStream is
-    // especially at home here, carrying the prefetch window across the many
-    // small interleaved drain passes. Its carried tail is flushed before the
-    // final-sweep exit below, so the full-drain invariant still holds.
-    const bool batched = !inject && cursors >= 2;
-    typename BasicOpenHashTable<K>::DrainStream stream(
-        mine, (inject || batched) ? 0 : prefetch);
-    auto drain_once = [&] {
-      if (inject) fault::fire(fault::Point::kPipelineDrain);
-      for (std::size_t src = 0; src < P; ++src) {
-        if (src == p) continue;
-        SpscQueue<K>& queue = queues.at(src, p);
-        const std::size_t drained =
-            queue.consume([&](const K* span, std::size_t count) {
-              ++ws.bulk_pops;
-              if (inject) {
-                mine.increment_block(span, count, prefetch);
-              } else if (batched) {
-                mine.increment_block_batched(span, count, cursors);
-              } else {
-                stream.feed(span, count);
-              }
-            });
-        ws.stage2_pops += drained;
-        if (watchdog && drained != 0) {
-          progress[p].value.fetch_add(drained, std::memory_order_relaxed);
-        }
-      }
-    };
-
-    // The whole kernel is exception-robust: a throw anywhere marks the build
-    // aborted and keeps the producers_done accounting truthful, so no other
-    // worker can spin forever waiting on this one.
-    bool counted_done = false;
-    try {
-      // Interleave producing batches with draining inbound keys. The router
-      // is flushed after every batch, so the consumers' drain interleave
-      // (and the stall watchdog's progress accounting) observe the same
-      // cadence as the scalar path — at most one batch of keys is ever
-      // staged privately.
-      KeyRouter<K> router(queues, p, P, options_.route_buffer_keys);
-      std::vector<K> keys(strip);
-      std::vector<std::size_t> owners(strip);
-      const auto [lo, hi] = ThreadPool::block_range(m, P, p);
-      std::size_t i = lo;
-      while (i < hi && !gate.aborted()) {
-        const std::size_t stop = std::min(hi, i + batch);
-        while (i < stop) {
-          const std::size_t count = std::min(strip, stop - i);
-          if (inject) {
-            for (std::size_t r = 0; r < count; ++r) {
-              fault::fire(fault::Point::kStage1Row);
-              keys[r] = codec.encode(data.row(i + r));
-              ++ws.rows_encoded;
-            }
-          } else {
-            codec.encode_block(data.row(i).data(), count, keys.data(), level);
-            ws.rows_encoded += count;
-          }
-          Traits::owner_block(keys.data(), count, P, space, scheme,
-                              owners.data());
-          for (std::size_t r = 0; r < count; ++r) {
-            const K key = keys[r];
-            const std::size_t owner = owners[r];
-            if (owner == p) {
-              mine.increment(key);
-              ++ws.local_updates;
-            } else {
-              ws.route_flushes += router.route(owner, key);
-              ++ws.foreign_pushes;
-            }
-          }
-          if (watchdog) {
-            progress[p].value.fetch_add(count, std::memory_order_relaxed);
-          }
-          i += count;
-        }
-        ws.route_flushes += router.flush_all();
-        drain_once();
-      }
-      ws.stage1_seconds = stage_timer.seconds();
-      gate.retire();
-      counted_done = true;
-
-      // Keep draining until every producer has finished, then one final pass:
-      // after producers_done == P no queue can grow, so an empty sweep means
-      // the fabric is fully drained. The watchdog clocks the time since the
-      // global progress sum last moved; a wedged worker freezes its counter,
-      // and once every healthy worker has gone idle the sum stops moving.
-      stage_timer.reset();
-      Timer stall_timer;
-      std::uint64_t last_progress = 0;
-      bool have_baseline = false;
-      while (!gate.aborted() && !gate.all_retired()) {
-        drain_once();
-        if (watchdog) {
-          std::uint64_t now = 0;
-          for (const ProgressCell& cell : progress) {
-            now += cell.value.load(std::memory_order_relaxed);
-          }
-          if (!have_baseline || now != last_progress) {
-            last_progress = now;
-            have_baseline = true;
-            stall_timer.reset();
-          } else if (stall_timer.seconds() > stall_timeout) {
-            stalled_unfinished.store(P - gate.retired(),
-                                     std::memory_order_relaxed);
-            stalled.store(true, std::memory_order_release);
-            gate.abort();
-            break;
-          }
-        }
-      }
-      if (!gate.aborted()) drain_once();
-      stream.finish();
-      ws.stage2_seconds = stage_timer.seconds();
-    } catch (...) {
-      gate.abort_and_retire(counted_done);
-      throw;
-    }
-  });
-
-  stats_.pin_failures = pin_failures.load(std::memory_order_relaxed);
-  stats_.total_seconds = total_timer.seconds();
-  if (stalled.load(std::memory_order_acquire)) {
-    std::vector<std::uint64_t> snapshot;
-    snapshot.reserve(P);
-    for (const ProgressCell& cell : progress) {
-      snapshot.push_back(cell.value.load(std::memory_order_relaxed));
-    }
-    throw StallError(
-        "pipelined build stalled: no worker progress for " +
-            std::to_string(stall_timeout) + "s with " +
-            std::to_string(stalled_unfinished.load(std::memory_order_relaxed)) +
-            " producer(s) unfinished",
-        std::move(snapshot));
-  }
-  collect_page_backing(table, stats_);
-  return Table(codec, std::move(table), static_cast<std::uint64_t>(m));
 }
 
 template class BasicWaitFreeBuilder<Key>;

@@ -8,18 +8,12 @@
 // writer per stage, so no locks and no retries: both stages are wait-free,
 // and the only synchronization is the single barrier crossing.
 //
-// Two variants:
-//  - phased (the paper): barrier between the stages;
-//  - pipelined (paper §VI future work): consumers drain their inbound queues
-//    while producers are still running, removing the barrier at the cost of
-//    concurrent SPSC traffic.
-//
 // The builder is a template over the key type (KeyTraits): WaitFreeBuilder
 // produces narrow (64-bit key) tables, WideWaitFreeBuilder two-word tables
 // for joint spaces up to 2^126. Both instantiations share every line of the
 // kernel — including the incremental append() with its strong exception
-// guarantee, the shadow-copy serving hook, degradation accounting, the stall
-// watchdog, and all named fault points.
+// guarantee, the shadow-copy serving hook, degradation accounting, and all
+// named fault points.
 #pragma once
 
 #include <cstdint>
@@ -37,26 +31,18 @@ namespace wfbn {
 struct WaitFreeBuilderOptions {
   std::size_t threads = 1;
   PartitionScheme scheme = PartitionScheme::kModulo;
-  /// Overlap stage 2 with stage 1 (no barrier). See class comment.
-  bool pipelined = false;
   /// Pin worker p to core p when the OS allows it. A refused pin degrades
   /// (unpinned worker, counted in BuildStats::pin_failures) instead of
   /// failing the build.
   bool pin_threads = false;
   /// Pre-size per-partition hashtables; 0 derives an estimate from m.
   std::size_t expected_distinct_keys = 0;
-  /// Rows a pipelined producer processes between drain attempts.
-  std::size_t pipeline_batch = 4096;
   /// Stage-1 write-combining: keys staged per destination worker before the
   /// router flushes them into the SPSC fabric with one bulk publish
   /// (SpscQueue::push_block). 1 reproduces the pre-block behavior of one
-  /// release store per key. Buffers are always flushed at stage/batch
-  /// boundaries — see docs/ALGORITHMS.md ("Block routing fast path").
+  /// release store per key. Buffers are always flushed before the barrier —
+  /// see docs/ALGORITHMS.md ("Block routing fast path").
   std::size_t route_buffer_keys = 64;
-  /// Stage-2 drain lookahead: while resolving a drained key, software-
-  /// prefetch the probe slot of the key this many positions ahead in the
-  /// consumed chunk span. 0 disables the hint.
-  std::size_t prefetch_distance = 4;
   /// Rows encoded per strip in stage 1 before any routing, so the codec's
   /// mixed-radix multiply chain pipelines instead of alternating with
   /// table/queue traffic. 1 reproduces the row-at-a-time behavior.
@@ -68,24 +54,6 @@ struct WaitFreeBuilderOptions {
   /// host lacks them. Every level is bit-identical (oracle-gated). The
   /// effective level of the last build is reported in BuildStats::simd_level.
   simd::Policy simd = simd::Policy::kAuto;
-  /// Stage-2 probe parallelism: with >= 2, drained spans are folded with
-  /// OpenHashTable::increment_block_batched using this many concurrent probe
-  /// cursors (hash a group, prefetch every home slot, advance round-robin),
-  /// overlapping the probe cache misses. 0 or 1 keeps the in-order drain —
-  /// increment_block behind a DrainStream, whose prefetch window (of
-  /// prefetch_distance) now carries across consume spans. Either path
-  /// produces identical tables; fault-injection runs always drain scalar.
-  std::size_t probe_cursors = 16;
-  /// Back each partition's entry array with transparent 2 MB pages once it
-  /// reaches one huge page (fewer TLB walks on larger-than-cache tables).
-  /// Best-effort: refusal degrades to normal pages and is reported in
-  /// BuildStats::huge_page_fallbacks, never an error.
-  bool huge_pages = false;
-  /// Stall watchdog for the pipelined variant: if no worker makes progress
-  /// (rows scanned + keys drained) for this long while the drain phase is
-  /// still waiting on producers, the build aborts with a StallError carrying
-  /// per-worker progress counters instead of spinning forever. 0 disables.
-  double stall_timeout_seconds = 0.0;
 };
 
 /// Per-worker instrumentation. The counts feed the multicore scaling
@@ -120,12 +88,6 @@ struct BuildStats {
   /// Effective encode dispatch level of the build (options.simd resolved
   /// against the host; forced and env downgrades included).
   simd::Level simd_level = simd::Level::kScalar;
-  /// Partition tables whose entry array ended huge-page-advised vs. those
-  /// that requested huge backing for an eligible allocation and were refused
-  /// (kernel refusal or the table.huge_page fault point). Partitions smaller
-  /// than one huge page count in neither.
-  std::size_t huge_page_tables = 0;
-  std::size_t huge_page_fallbacks = 0;
 
   [[nodiscard]] bool degraded() const noexcept {
     return effective_workers < requested_workers || pin_failures > 0;
@@ -192,10 +154,8 @@ class BasicWaitFreeBuilder {
   }
 
  private:
-  Table build_phased(const Dataset& data, ThreadPool& pool);
-  Table build_pipelined(const Dataset& data, ThreadPool& pool);
   /// The two-stage kernel over an existing partitioned table (used by both
-  /// build_phased and append). Refreshes stats_ except total_seconds. The
+  /// build and append). Refreshes stats_ except total_seconds. The
   /// pool may hold fewer workers than the table has partitions (a degraded
   /// pool): partitions are then block-assigned to workers, preserving the
   /// one-writer-per-partition invariant at reduced parallelism.
@@ -214,8 +174,7 @@ extern template class BasicWaitFreeBuilder<WideKey>;
 using WaitFreeBuilder = BasicWaitFreeBuilder<Key>;
 using WideWaitFreeBuilder = BasicWaitFreeBuilder<WideKey>;
 
-/// The wide builder historically had its own slimmer options struct; it now
-/// accepts the full option set (pipelining, pinning, watchdog, ...).
+/// Options spelling for wide-builder call sites; both widths share one set.
 using WideBuilderOptions = WaitFreeBuilderOptions;
 
 }  // namespace wfbn

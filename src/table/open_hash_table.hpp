@@ -13,21 +13,16 @@
 // never erase), and the single-writer invariant lets the running total of all
 // counts be cached, making total_count() O(1).
 //
-// Three ingestion paths trade code simplicity against memory-level
-// parallelism; all three produce the identical key -> count mapping (the
-// builders' oracle tests pin this at every combination):
+// Two ingestion paths trade code simplicity against memory-level
+// parallelism; both produce the identical key -> count mapping (the builders'
+// oracle tests pin this):
 //
 //   increment()               one key, dependent probe chain
-//   increment_block()         in-order strip with rolling software prefetch
-//                             (plus DrainStream to carry the prefetch window
-//                             across consecutive strips)
-//   increment_block_batched() out-of-order multi-cursor probing: hash a whole
-//                             group up front, issue every home-slot prefetch,
-//                             then advance the probes round-robin so the
-//                             misses overlap instead of serializing
-//
-// Storage is a PageArray<Entry>, optionally huge-page-backed (2 MB pages cut
-// TLB walks on the paper's larger-than-cache tables); see util/huge_page.hpp.
+//   increment_block_batched() out-of-order multi-cursor probing: hash a group
+//                             of kProbeCursors keys up front, issue every
+//                             home-slot prefetch, then advance the probes
+//                             round-robin so the misses overlap instead of
+//                             serializing
 #pragma once
 
 #include <algorithm>
@@ -38,7 +33,6 @@
 
 #include "table/key_traits.hpp"
 #include "util/error.hpp"
-#include "util/huge_page.hpp"
 
 namespace wfbn {
 
@@ -51,14 +45,9 @@ class BasicOpenHashTable {
 
   /// Probe cursors advanced concurrently by increment_block_batched(); also
   /// the group size hashed and prefetched per wave.
-  static constexpr std::size_t kMaxProbeCursors = 64;
+  static constexpr std::size_t kProbeCursors = 16;
 
-  /// With `huge_pages`, the entry array asks the kernel for transparent 2 MB
-  /// backing once it reaches one huge page; refusal degrades silently to
-  /// normal pages (see backing()).
-  explicit BasicOpenHashTable(std::size_t expected_entries = 16,
-                              bool huge_pages = false)
-      : huge_pages_(huge_pages) {
+  explicit BasicOpenHashTable(std::size_t expected_entries = 16) {
     rehash_for(expected_entries);
   }
 
@@ -83,56 +72,28 @@ class BasicOpenHashTable {
     }
   }
 
-  /// Folds a whole block of keys (count 1 each), in order — equivalent to
-  /// calling increment() per key. With `prefetch_distance` > 0 the home slot
-  /// of the key that many positions ahead is software-prefetched while the
-  /// current key resolves, hiding the dependent-probe latency of the
-  /// builders' stage-2 drain (the table is far larger than cache on the
-  /// paper's workloads, so nearly every probe misses without the hint).
-  /// The first `prefetch_distance` home slots are primed before the loop, so
-  /// every key in the block gets its hint; for a prefetch window that spans
-  /// consecutive blocks (the builders' consume spans), use DrainStream.
-  void increment_block(const K* keys, std::size_t count,
-                       std::size_t prefetch_distance = 0) {
-    if (prefetch_distance == 0) {
-      for (std::size_t i = 0; i < count; ++i) increment(keys[i]);
-      return;
-    }
-    const std::size_t head = std::min(prefetch_distance, count);
-    for (std::size_t i = 0; i < head; ++i) prefetch(keys[i]);
-    for (std::size_t i = 0; i < count; ++i) {
-      if (i + prefetch_distance < count) prefetch(keys[i + prefetch_distance]);
-      increment(keys[i]);
-    }
-  }
-
-  /// Multi-cursor variant of increment_block(): hashes a group of up to
-  /// `cursors` keys at once (KeyTraits::slot_hash_block), issues every home
-  /// slot prefetch for the group while the previous group resolves, then
-  /// advances the group's probe cursors round-robin with a bounded per-visit
-  /// probe budget — so a group's cache misses are all in flight together
-  /// instead of serializing one dependent chain per key. Keys resolve out of
-  /// order within a group, which can change the physical slot a colliding
-  /// key lands in, but never the key -> count content (what snapshots,
-  /// digests and the oracle compare). A mid-group grow() is handled by
-  /// restarting the unresolved cursors from their new home slots.
-  void increment_block_batched(const K* keys, std::size_t count,
-                               std::size_t cursors = 16) {
-    if (cursors < 2) {
-      increment_block(keys, count);
-      return;
-    }
-    const std::size_t group = std::min(cursors, kMaxProbeCursors);
+  /// Folds a whole block of keys (count 1 each) — equivalent to calling
+  /// increment() per key. Hashes a group of up to kProbeCursors keys at once
+  /// (KeyTraits::slot_hash_block), issues every home slot prefetch for the
+  /// group while the previous group resolves, then advances the group's
+  /// probe cursors round-robin with a bounded per-visit probe budget — so a
+  /// group's cache misses are all in flight together instead of serializing
+  /// one dependent chain per key. Keys resolve out of order within a group,
+  /// which can change the physical slot a colliding key lands in, but never
+  /// the key -> count content (what snapshots, digests and the oracle
+  /// compare). A mid-group grow() is handled by restarting the unresolved
+  /// cursors from their new home slots.
+  void increment_block_batched(const K* keys, std::size_t count) {
     // Double-buffered hashes: prefetch wave k while wave k-1 resolves. The
     // buffers hold pre-mask hashes, not slots, so a grow() between the
     // prefetch and the resolve only stales the (harmless) hint, never the
     // probe start.
-    std::size_t hash_buf[2][kMaxProbeCursors];
+    std::size_t hash_buf[2][kProbeCursors];
     const K* prev_keys = nullptr;
     std::size_t prev_count = 0;
     unsigned buf = 0;
-    for (std::size_t base = 0; base < count; base += group) {
-      const std::size_t g = std::min(group, count - base);
+    for (std::size_t base = 0; base < count; base += kProbeCursors) {
+      const std::size_t g = std::min(kProbeCursors, count - base);
       std::size_t* hashes = hash_buf[buf];
       Traits::slot_hash_block(keys + base, g, hashes);
       for (std::size_t i = 0; i < g; ++i) prefetch_slot(hashes[i] & mask_);
@@ -143,68 +104,6 @@ class BasicOpenHashTable {
     }
     if (prev_count != 0) resolve_group(prev_keys, hash_buf[buf ^ 1], prev_count);
   }
-
-  /// Hints the cache that `key`'s home slot is about to be probed. Purely
-  /// advisory: a stale hint (e.g. after an intervening grow()) costs nothing.
-  void prefetch(K key) const noexcept { prefetch_slot(slot_of(key)); }
-
-  /// Order-preserving streaming wrapper over increment() that carries the
-  /// software-prefetch window across feed() calls. increment_block()'s hint
-  /// window necessarily ends at the block boundary: the last
-  /// `prefetch_distance` keys of each block are probed with their prefetch
-  /// issued zero-to-few keys ahead. When a drain processes many consecutive
-  /// consume spans against the same table, DrainStream keeps a FIFO ring of
-  /// the most recent `prefetch_distance` keys — each arriving key is
-  /// prefetched immediately and incremented only after `prefetch_distance`
-  /// further keys arrive, so every increment (including span tails) runs a
-  /// full window behind its hint. Keys resolve in exact arrival order;
-  /// finish() flushes the carried tail.
-  class DrainStream {
-   public:
-    DrainStream(BasicOpenHashTable& table, std::size_t prefetch_distance)
-        : table_(&table),
-          distance_(prefetch_distance),
-          ring_(prefetch_distance) {}
-
-    void feed(const K* keys, std::size_t count) {
-      if (distance_ == 0) {
-        table_->increment_block(keys, count);
-        return;
-      }
-      for (std::size_t i = 0; i < count; ++i) {
-        table_->prefetch(keys[i]);
-        if (fill_ == distance_) {
-          table_->increment(ring_[head_]);
-          ring_[head_] = keys[i];
-          head_ = head_ + 1 == distance_ ? 0 : head_ + 1;
-        } else {
-          std::size_t tail = head_ + fill_;
-          if (tail >= distance_) tail -= distance_;
-          ring_[tail] = keys[i];
-          ++fill_;
-        }
-      }
-    }
-
-    /// Drains the carried keys. Call at end-of-stream — and before any read
-    /// of the table that must observe everything fed so far.
-    void finish() {
-      while (fill_ != 0) {
-        table_->increment(ring_[head_]);
-        head_ = head_ + 1 == distance_ ? 0 : head_ + 1;
-        --fill_;
-      }
-    }
-
-    [[nodiscard]] std::size_t carried() const noexcept { return fill_; }
-
-   private:
-    BasicOpenHashTable* table_;
-    std::size_t distance_;
-    std::vector<K> ring_;
-    std::size_t head_ = 0;
-    std::size_t fill_ = 0;
-  };
 
   /// Occurrence count of `key`; 0 when absent.
   [[nodiscard]] std::uint64_t count(K key) const noexcept {
@@ -228,16 +127,6 @@ class BasicOpenHashTable {
   /// is maintained on every increment — legal because each table has exactly
   /// one writer.
   [[nodiscard]] std::uint64_t total_count() const noexcept { return total_; }
-
-  /// How the entry array is currently backed (kHugeAdvised only when huge
-  /// pages were requested at construction AND the kernel accepted the advice
-  /// for the current allocation).
-  [[nodiscard]] PageBacking backing() const noexcept {
-    return entries_.backing();
-  }
-  [[nodiscard]] bool huge_pages_requested() const noexcept {
-    return huge_pages_;
-  }
 
   /// Visits every (key, count) pair in unspecified order.
   template <typename Fn>
@@ -296,10 +185,9 @@ class BasicOpenHashTable {
   /// own walk (slots are never vacated).
   void resolve_group(const K* gkeys, const std::size_t* hashes,
                      std::size_t g) {
-    std::size_t idx[kMaxProbeCursors];
+    std::size_t idx[kProbeCursors];
     for (std::size_t i = 0; i < g; ++i) idx[i] = hashes[i] & mask_;
-    std::uint64_t pending =
-        g == 64 ? ~0ULL : (std::uint64_t{1} << g) - 1;
+    std::uint64_t pending = (std::uint64_t{1} << g) - 1;
     while (pending != 0) {
       std::uint64_t scan = pending;
       while (scan != 0) {
@@ -341,8 +229,8 @@ class BasicOpenHashTable {
     // Capacity at >= 10/7 of the population keeps the load factor under 0.7.
     const std::size_t wanted =
         std::bit_ceil(std::max<std::size_t>(expected_entries * 10 / 7 + 1, 16));
-    PageArray<Entry> old =
-        std::exchange(entries_, PageArray<Entry>(wanted, huge_pages_));
+    std::vector<Entry> old =
+        std::exchange(entries_, std::vector<Entry>(wanted));
     mask_ = wanted - 1;
     size_ = 0;
     total_ = 0;  // reinsertion below rebuilds it
@@ -353,8 +241,7 @@ class BasicOpenHashTable {
 
   void grow() { rehash_for(size_ * 2); }
 
-  PageArray<Entry> entries_;
-  bool huge_pages_ = false;
+  std::vector<Entry> entries_;
   std::size_t mask_ = 0;
   std::size_t size_ = 0;
   std::uint64_t total_ = 0;

@@ -20,7 +20,6 @@
 #include "concurrent/affinity.hpp"
 #include "concurrent/atomic_hash_map.hpp"
 #include "concurrent/barrier.hpp"
-#include "concurrent/retire_gate.hpp"
 #include "concurrent/spsc_queue.hpp"
 #include "concurrent/striped_hash_map.hpp"
 #include "concurrent/thread_pool.hpp"

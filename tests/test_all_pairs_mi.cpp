@@ -62,16 +62,13 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(MiConfig{AllPairsStrategy::kPairParallel, 1},
                       MiConfig{AllPairsStrategy::kPairParallel, 4},
                       MiConfig{AllPairsStrategy::kPairParallel, 16},
-                      MiConfig{AllPairsStrategy::kEntryParallel, 1},
-                      MiConfig{AllPairsStrategy::kEntryParallel, 4},
                       MiConfig{AllPairsStrategy::kFused, 1},
                       MiConfig{AllPairsStrategy::kFused, 4},
                       MiConfig{AllPairsStrategy::kFused, 16}),
     [](const auto& param_info) {
       const char* name =
-          param_info.param.strategy == AllPairsStrategy::kPairParallel ? "pair"
-          : param_info.param.strategy == AllPairsStrategy::kEntryParallel
-              ? "entry"
+          param_info.param.strategy == AllPairsStrategy::kPairParallel
+              ? "pair"
               : "fused";
       return std::string(name) + "_" + std::to_string(param_info.param.threads) +
              "threads";
@@ -86,11 +83,7 @@ TEST(AllPairsMi, MixedCardinalitiesAgreeAcrossStrategies) {
           .compute(table);
   const MiMatrix fused =
       AllPairsMi(AllPairsOptions{3, AllPairsStrategy::kFused}).compute(table);
-  const MiMatrix entry =
-      AllPairsMi(AllPairsOptions{3, AllPairsStrategy::kEntryParallel})
-          .compute(table);
   expect_same(pair, fused);
-  expect_same(pair, entry);
 }
 
 TEST(AllPairsMi, IndependentDataHasNearZeroMiEverywhere) {

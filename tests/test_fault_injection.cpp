@@ -1,9 +1,8 @@
 // Deterministic fault-injection sweep over the concurrency layer: every
-// registered failure point, under both builder variants, must yield either a
-// typed error or a correct (possibly degraded) result — never a crash, a
-// hang, or a corrupted table. Also verifies append()'s strong guarantee (a
-// mid-append throw leaves the table bit-identical), graceful degradation on
-// spawn/pin failure, and the pipelined stall watchdog.
+// registered failure point must yield either a typed error or a correct
+// (possibly degraded) result — never a crash, a hang, or a corrupted table.
+// Also verifies append()'s strong guarantee (a mid-append throw leaves the
+// table bit-identical) and graceful degradation on spawn/pin failure.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -55,16 +54,15 @@ void expect_equal_counts(const PotentialTable& table,
 
 struct SweepConfig {
   fault::Point point;
-  bool pipelined;
   std::uint64_t fire_on;
 };
 
 class FaultPointSweep : public ::testing::TestWithParam<SweepConfig> {};
 
 // The oracle every failure point must satisfy: the build either throws a
-// typed error or produces the exact reference table. Points that a variant
-// never reaches (e.g. the barrier under the pipelined builder) simply never
-// fire, which exercises the "correct result" arm.
+// typed error or produces the exact reference table. Points a build never
+// reaches (e.g. the append commit) simply never fire, which exercises the
+// "correct result" arm.
 TEST_P(FaultPointSweep, BuildThrowsTypedErrorOrStaysExact) {
   const SweepConfig config = GetParam();
   const Dataset data = generate_uniform(12000, 10, 2, 42);
@@ -75,9 +73,6 @@ TEST_P(FaultPointSweep, BuildThrowsTypedErrorOrStaysExact) {
 
   WaitFreeBuilderOptions options;
   options.threads = 4;
-  options.pipelined = config.pipelined;
-  // Armed so that even an unexpected wedge surfaces as StallError, not a hang.
-  options.stall_timeout_seconds = 5.0;
   WaitFreeBuilder builder(options);
   try {
     const PotentialTable table = builder.build(data);
@@ -85,43 +80,29 @@ TEST_P(FaultPointSweep, BuildThrowsTypedErrorOrStaysExact) {
     expect_equal_counts(table, reference);
   } catch (const InjectedFault&) {
     EXPECT_GE(fault::hits(config.point), config.fire_on);
-  } catch (const StallError&) {
-    // Acceptable: an injected fault can wedge a round; the watchdog's typed
-    // error is exactly the defined behavior.
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllPoints, FaultPointSweep,
     ::testing::Values(
-        SweepConfig{fault::Point::kThreadSpawn, false, 2},
-        SweepConfig{fault::Point::kThreadSpawn, true, 2},
-        SweepConfig{fault::Point::kPinThread, false, 1},
-        SweepConfig{fault::Point::kPinThread, true, 1},
-        SweepConfig{fault::Point::kSpscChunkAlloc, false, 1},
-        SweepConfig{fault::Point::kSpscChunkAlloc, true, 1},
-        SweepConfig{fault::Point::kStage1Row, false, 1},
-        SweepConfig{fault::Point::kStage1Row, false, 5000},
-        SweepConfig{fault::Point::kStage1Row, true, 1},
-        SweepConfig{fault::Point::kStage1Row, true, 5000},
-        SweepConfig{fault::Point::kBarrier, false, 1},
-        SweepConfig{fault::Point::kBarrier, false, 3},
-        SweepConfig{fault::Point::kBarrier, true, 1},
-        SweepConfig{fault::Point::kStage2Drain, false, 1},
-        SweepConfig{fault::Point::kStage2Drain, false, 500},
-        SweepConfig{fault::Point::kStage2Drain, true, 1},
-        SweepConfig{fault::Point::kPipelineDrain, false, 1},
-        SweepConfig{fault::Point::kPipelineDrain, true, 1},
-        SweepConfig{fault::Point::kPipelineDrain, true, 4},
-        SweepConfig{fault::Point::kAppendCommit, false, 1},
-        SweepConfig{fault::Point::kAppendCommit, true, 1}),
+        SweepConfig{fault::Point::kThreadSpawn, 2},
+        SweepConfig{fault::Point::kPinThread, 1},
+        SweepConfig{fault::Point::kSpscChunkAlloc, 1},
+        SweepConfig{fault::Point::kStage1Row, 1},
+        SweepConfig{fault::Point::kStage1Row, 5000},
+        SweepConfig{fault::Point::kBarrier, 1},
+        SweepConfig{fault::Point::kBarrier, 3},
+        SweepConfig{fault::Point::kStage2Drain, 1},
+        SweepConfig{fault::Point::kStage2Drain, 500},
+        SweepConfig{fault::Point::kAppendCommit, 1}),
     [](const auto& p) {
       std::string name;
       for (const char c : std::string(fault::point_name(p.param.point))) {
         if (std::isalnum(static_cast<unsigned char>(c))) name += c;
       }
-      return name + (p.param.pipelined ? "Pipelined" : "Phased") + "Hit" +
-             std::to_string(p.param.fire_on);
+      // "Phased" names the builder's two-stage schedule.
+      return name + "PhasedHit" + std::to_string(p.param.fire_on);
     });
 
 // The downstream primitives honor the same oracle.
@@ -236,15 +217,14 @@ INSTANTIATE_TEST_SUITE_P(
 // ------------------------------------- block-routing flush points
 
 // The write-combining router introduced new flush sites: a full per-
-// destination buffer mid-scan, the stage-1-end flush_all before the barrier,
-// and the per-batch flush of the pipelined variant. All of them funnel into
+// destination buffer mid-scan and the stage-1-end flush_all before the
+// barrier. Both funnel into
 // SpscQueue::push_block, whose chunk allocations fire kSpscChunkAlloc — so
 // arming that point with routing enabled throws in the middle of a bulk
 // flush. A buffer larger than the queue's chunk capacity makes a single
 // flush straddle a chunk boundary, forcing the allocation mid-block.
 struct FlushConfig {
   std::size_t route_buffer_keys;
-  bool pipelined;
   std::uint64_t fire_on;
 };
 
@@ -262,9 +242,7 @@ TEST_P(FlushPointSweep, ThrowMidFlushYieldsTypedErrorOrExactBuild) {
   // Two workers concentrate ~3000 foreign keys into each of the two live
   // queues, so chunk allocation (one per 2048 pushes) is actually reached.
   options.threads = 2;
-  options.pipelined = config.pipelined;
   options.route_buffer_keys = config.route_buffer_keys;
-  options.stall_timeout_seconds = 5.0;
   WaitFreeBuilder builder(options);
   try {
     const PotentialTable table = builder.build(data);
@@ -272,19 +250,16 @@ TEST_P(FlushPointSweep, ThrowMidFlushYieldsTypedErrorOrExactBuild) {
     expect_equal_counts(table, reference);
   } catch (const InjectedFault&) {
     EXPECT_GE(fault::hits(fault::Point::kSpscChunkAlloc), config.fire_on);
-  } catch (const StallError&) {
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Geometries, FlushPointSweep,
-    ::testing::Values(FlushConfig{64, false, 1}, FlushConfig{64, true, 1},
-                      FlushConfig{4096, false, 1}, FlushConfig{4096, true, 1},
-                      FlushConfig{4096, false, 2}, FlushConfig{4096, true, 3}),
+    ::testing::Values(FlushConfig{64, 1}, FlushConfig{4096, 1},
+                      FlushConfig{4096, 2}),
     [](const auto& p) {
       return "Buffer" + std::to_string(p.param.route_buffer_keys) +
-             (p.param.pipelined ? "Pipelined" : "Phased") + "Hit" +
-             std::to_string(p.param.fire_on);
+             "PhasedHit" + std::to_string(p.param.fire_on);
     });
 
 TEST(FaultInjection, ThrowMidFlushKeepsAppendStrongGuarantee) {
@@ -404,61 +379,6 @@ TEST(FaultInjection, PoolReportsDegradationAfterInjectedSpawnFailure) {
   for (const int h : hits) EXPECT_EQ(h, 1);
 }
 
-// ------------------------------------------------------ stall watchdog
-
-TEST(FaultInjection, WedgedProducerSurfacesStallError) {
-  const Dataset data = generate_uniform(40000, 10, 2, 51);
-  fault::ScopedFaultInjection injection;
-  // One worker sleeps 1.5s mid-scan; the others go idle, global progress
-  // freezes, and the 100ms watchdog must fire long before the sleep ends.
-  fault::arm(fault::Point::kStage1Row, 5000, fault::Action::kStall, 1500);
-
-  WaitFreeBuilderOptions options;
-  options.threads = 4;
-  options.pipelined = true;
-  options.stall_timeout_seconds = 0.1;
-  WaitFreeBuilder builder(options);
-  try {
-    (void)builder.build(data);
-    FAIL() << "expected StallError";
-  } catch (const StallError& stall) {
-    EXPECT_EQ(stall.worker_progress().size(), 4u);
-    EXPECT_NE(std::string(stall.what()).find("stalled"), std::string::npos);
-  }
-}
-
-TEST(FaultInjection, WedgedDrainEitherStallsTypedOrRecovers) {
-  const Dataset data = generate_uniform(40000, 10, 2, 52);
-  const auto reference = reference_counts(data);
-  fault::ScopedFaultInjection injection;
-  fault::arm(fault::Point::kPipelineDrain, 3, fault::Action::kStall, 1500);
-
-  WaitFreeBuilderOptions options;
-  options.threads = 4;
-  options.pipelined = true;
-  options.stall_timeout_seconds = 0.1;
-  WaitFreeBuilder builder(options);
-  // Depending on where the wedge lands the build either aborts with the
-  // typed stall error or rides it out; both are defined, a hang is not.
-  try {
-    const PotentialTable table = builder.build(data);
-    expect_equal_counts(table, reference);
-  } catch (const StallError& stall) {
-    EXPECT_EQ(stall.worker_progress().size(), 4u);
-  }
-}
-
-TEST(FaultInjection, WatchdogStaysQuietOnHealthyBuilds) {
-  const Dataset data = generate_uniform(20000, 10, 2, 53);
-  WaitFreeBuilderOptions options;
-  options.threads = 4;
-  options.pipelined = true;
-  options.stall_timeout_seconds = 0.5;
-  WaitFreeBuilder builder(options);
-  const PotentialTable table = builder.build(data);
-  expect_equal_counts(table, reference_counts(data));
-}
-
 // --------------------------------------------------- wide-key schedule sweep
 
 // The unified key-trait-templated kernel means every fault point above is
@@ -482,23 +402,17 @@ TEST(WideFaultInjection, RandomSchedulesThrowTypedErrorsOrStayExact) {
   const Dataset data = generate_chain_correlated(6000, 100, 2, 0.8, 61);
   WideBuilderOptions options;
   options.threads = 4;
-  options.stall_timeout_seconds = 5.0;
   const auto reference = wide_snapshot(WideWaitFreeBuilder(options).build(data));
 
   for (std::uint64_t seed = 1; seed <= 16; ++seed) {
     fault::ScopedFaultInjection injection;
     const std::string schedule = fault::arm_random_schedule(seed);
-    for (const bool pipelined : {false, true}) {
-      WideBuilderOptions faulted = options;
-      faulted.pipelined = pipelined;
-      WideWaitFreeBuilder builder(faulted);
-      try {
-        const WidePotentialTable table = builder.build(data);
-        ASSERT_TRUE(table.validate()) << "schedule: " << schedule;
-        EXPECT_EQ(wide_snapshot(table), reference) << "schedule: " << schedule;
-      } catch (const InjectedFault&) {
-      } catch (const StallError&) {
-      }
+    WideWaitFreeBuilder builder(options);
+    try {
+      const WidePotentialTable table = builder.build(data);
+      ASSERT_TRUE(table.validate()) << "schedule: " << schedule;
+      EXPECT_EQ(wide_snapshot(table), reference) << "schedule: " << schedule;
+    } catch (const InjectedFault&) {
     }
   }
 }

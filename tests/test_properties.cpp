@@ -169,18 +169,5 @@ TEST(PipelineProperty, SampledNetworksBuildIdenticallyAcrossBuilders) {
   }
 }
 
-TEST(PipelineProperty, PipelinedBatchSizeOneIsCorrect) {
-  const Dataset data = generate_uniform(5000, 8, 2, 206);
-  WaitFreeBuilderOptions options;
-  options.threads = 4;
-  options.pipelined = true;
-  options.pipeline_batch = 1;  // drain after every row — maximal interleaving
-  WaitFreeBuilder builder(options);
-  const PotentialTable table = builder.build(data);
-  EXPECT_EQ(table.sample_count(), 5000u);
-  EXPECT_EQ(table.partitions().total_count(), 5000u);
-  EXPECT_TRUE(table.partitions().ownership_invariant_holds());
-}
-
 }  // namespace
 }  // namespace wfbn

@@ -1,5 +1,5 @@
 // Tests for the wait-free SPSC queue — including a true concurrent
-// producer/consumer stress test (the pipelined builder's usage pattern).
+// producer/consumer stress test (one producer and one consumer live at once).
 #include <gtest/gtest.h>
 
 #include <algorithm>

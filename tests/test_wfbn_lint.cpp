@@ -650,13 +650,14 @@ TEST_F(RealTreeMutation, UnregisteredFaultPointIsCaught) {
 }
 
 TEST_F(RealTreeMutation, BareStdAtomicInSeamFileIsCaught) {
-  tree_.mutate("src/concurrent/retire_gate.hpp",
-               "typename Policy::template Atomic<std::size_t> done_{0};",
-               "std::atomic<std::size_t> done_{0};");
+  // The queue's published fill level, declared through the Policy seam.
+  tree_.mutate("src/concurrent/spsc_queue.hpp",
+               "Atomic<std::size_t> count{0};",
+               "std::atomic<std::size_t> count{0};");
   const Result result = run_on(tree_);
   ASSERT_EQ(result.findings.size(), 1u) << describe(result);
   EXPECT_EQ(result.findings[0].rule, Rule::kPolicyPurity);
-  EXPECT_EQ(result.findings[0].file, "src/concurrent/retire_gate.hpp");
+  EXPECT_EQ(result.findings[0].file, "src/concurrent/spsc_queue.hpp");
 }
 
 TEST_F(RealTreeMutation, AllocationInWaitFreeRegionIsCaught) {
