@@ -2,6 +2,8 @@
 // recovery on the repository networks, phase bookkeeping, and orientation.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "bn/metrics.hpp"
 #include "bn/repository.hpp"
 #include "bn/sampling.hpp"
@@ -45,6 +47,9 @@ TEST(Cheng, UniformDataYieldsEmptyGraph) {
 
 struct RecoveryCase {
   RepositoryNetwork which;
+  // Fills what would be padding: gtest prints the parameter's raw bytes into
+  // the test name, and uninitialized padding made that name vary by build.
+  std::uint32_t zero_fill = 0;
   std::size_t samples;
   double epsilon;
   double min_f1;
@@ -69,13 +74,34 @@ INSTANTIATE_TEST_SUITE_P(
         // ASIA's asia→tub edge carries ~1e-4 nats at these CPTs — every
         // threshold-based learner misses it at reasonable sample sizes, so
         // the F1 target reflects 7/8 edges.
-        RecoveryCase{RepositoryNetwork::kAsia, 150000, 0.002, 0.9},
-        RecoveryCase{RepositoryNetwork::kCancer, 150000, 0.0005, 0.85},
-        RecoveryCase{RepositoryNetwork::kEarthquake, 150000, 0.0003, 0.85},
-        RecoveryCase{RepositoryNetwork::kSurvey, 100000, 0.002, 0.8},
-        RecoveryCase{RepositoryNetwork::kSachs, 60000, 0.005, 0.8},
-        RecoveryCase{RepositoryNetwork::kChild, 100000, 0.004, 0.8},
-        RecoveryCase{RepositoryNetwork::kAlarm, 150000, 0.004, 0.8}),
+        RecoveryCase{.which = RepositoryNetwork::kAsia,
+                     .samples = 150000,
+                     .epsilon = 0.002,
+                     .min_f1 = 0.9},
+        RecoveryCase{.which = RepositoryNetwork::kCancer,
+                     .samples = 150000,
+                     .epsilon = 0.0005,
+                     .min_f1 = 0.85},
+        RecoveryCase{.which = RepositoryNetwork::kEarthquake,
+                     .samples = 150000,
+                     .epsilon = 0.0003,
+                     .min_f1 = 0.85},
+        RecoveryCase{.which = RepositoryNetwork::kSurvey,
+                     .samples = 100000,
+                     .epsilon = 0.002,
+                     .min_f1 = 0.8},
+        RecoveryCase{.which = RepositoryNetwork::kSachs,
+                     .samples = 60000,
+                     .epsilon = 0.005,
+                     .min_f1 = 0.8},
+        RecoveryCase{.which = RepositoryNetwork::kChild,
+                     .samples = 100000,
+                     .epsilon = 0.004,
+                     .min_f1 = 0.8},
+        RecoveryCase{.which = RepositoryNetwork::kAlarm,
+                     .samples = 150000,
+                     .epsilon = 0.004,
+                     .min_f1 = 0.8}),
     [](const auto& param_info) {
       return repository_network_name(param_info.param.which);
     });
