@@ -8,9 +8,18 @@
 //  - kPairParallel   pairs are block-distributed over the workers; each
 //                    worker sweeps the whole table per pair (Algorithm 4's
 //                    round-robin pair scheduling).
-//  - kFused          one parallel sweep of the table; each worker decodes a
-//                    key once and updates all n(n−1)/2 private pair tables,
-//                    which are then tree-merged. Fewest table passes.
+//  - kFused          one parallel sweep of the table as a bit-sliced Gram
+//                    kernel. Work items are fixed slot ranges of any
+//                    partition. Each item's entries are transposed, 64 at a
+//                    time, into one bit-word per one-hot column (variable v,
+//                    state a < r_v − 1) and per bit-plane of the counts, and
+//                    folded into the worker's upper-triangle accumulator
+//                    N(c1, c2) = Σ_k popcount(col_c1 & col_c2 & plane_k) << k.
+//                    After an exact sum across workers, each pair's full
+//                    r_i × r_j table follows from its Gram cells, the
+//                    marginals (the diagonal) and the total by subtraction.
+//                    The counts are the integers kPairParallel scatters, so
+//                    the two strategies' MI matrices are bit-identical.
 //
 // A template over the key type; both strategies decode single variables
 // through KeyTraits' VarLeg recipe, so each works at both key widths.

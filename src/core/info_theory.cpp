@@ -1,5 +1,7 @@
 #include "core/info_theory.hpp"
 
+#include <math.h>  // lgamma_r (POSIX)
+
 #include <algorithm>
 #include <cmath>
 #include <vector>
@@ -93,6 +95,13 @@ GTestResult g_test(const MarginalTable& joint, std::size_t x, std::size_t y) {
 
 namespace {
 
+// log Γ(a) without std::lgamma, which writes the process-global `signgam`
+// and so races when CI tests run on several pool workers at once.
+double log_gamma(double a) {
+  int sign = 0;
+  return ::lgamma_r(a, &sign);
+}
+
 // Regularized lower incomplete gamma by its power series; converges fast for
 // x < a + 1.
 double gamma_p_series(double a, double x) {
@@ -105,7 +114,7 @@ double gamma_p_series(double a, double x) {
     sum += term;
     if (std::fabs(term) < std::fabs(sum) * 1e-15) break;
   }
-  return sum * std::exp(-x + a * std::log(x) - std::lgamma(a));
+  return sum * std::exp(-x + a * std::log(x) - log_gamma(a));
 }
 
 // Regularized upper incomplete gamma by Lentz's continued fraction; converges
@@ -128,7 +137,7 @@ double gamma_q_cf(double a, double x) {
     h *= delta;
     if (std::fabs(delta - 1.0) < 1e-15) break;
   }
-  return h * std::exp(-x + a * std::log(x) - std::lgamma(a));
+  return h * std::exp(-x + a * std::log(x) - log_gamma(a));
 }
 
 }  // namespace

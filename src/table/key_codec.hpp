@@ -13,6 +13,7 @@
 #include <span>
 #include <vector>
 
+#include "util/exact_div.hpp"
 #include "util/simd.hpp"
 
 namespace wfbn {
@@ -95,11 +96,13 @@ class KeyProjector {
   /// Throws PreconditionError on duplicate or out-of-range variables.
   KeyProjector(const KeyCodec& codec, std::span<const std::size_t> variables);
 
-  /// Index into the marginal table for this key. O(|V|).
+  /// Index into the marginal table for this key. O(|V|), no division
+  /// instruction: each leg's digit goes through exact reciprocals.
   [[nodiscard]] std::uint64_t project(Key key) const noexcept {
     std::uint64_t out = 0;
     for (const Leg& leg : legs_) {
-      out += ((key / leg.in_stride) % leg.cardinality) * leg.out_stride;
+      out += mixed_radix_digit(key, leg.in_stride, leg.cardinality) *
+             leg.out_stride;
     }
     return out;
   }
@@ -116,8 +119,8 @@ class KeyProjector {
 
  private:
   struct Leg {
-    Key in_stride;
-    std::uint64_t cardinality;
+    ExactDivider in_stride;
+    ExactDivider cardinality;
     std::uint64_t out_stride;
   };
   std::vector<Leg> legs_;

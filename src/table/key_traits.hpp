@@ -14,7 +14,8 @@
 //   key_in_range()      validity check for PotentialTable::validate()
 //   VarLeg / leg_of()   decode-of-interest: the (stride, cardinality[, word])
 //                       recipe for extracting one variable from a key without
-//                       decoding the whole state string (Eq. 4)
+//                       decoding the whole state string (Eq. 4), carried as
+//                       exact reciprocals so the decode never divides
 //
 // Adding a third key width means specializing this struct — nothing else.
 #pragma once
@@ -25,6 +26,7 @@
 
 #include "table/key_codec.hpp"
 #include "table/wide_key_codec.hpp"
+#include "util/exact_div.hpp"
 
 namespace wfbn {
 
@@ -106,16 +108,19 @@ struct KeyTraits<Key> {
     return key < codec.state_space_size();
   }
 
-  /// Decode-of-interest recipe for one variable (Eq. 4).
+  /// Decode-of-interest recipe for one variable (Eq. 4), with exact
+  /// reciprocals of the stride and cardinality so a decode is multiplies
+  /// only (util/exact_div.hpp).
   struct VarLeg {
-    std::uint64_t stride;
-    std::uint64_t cardinality;
+    ExactDivider stride;
+    ExactDivider cardinality;
   };
   static VarLeg leg_of(const Codec& codec, std::size_t j) {
-    return VarLeg{codec.stride(j), codec.cardinality(j)};
+    return VarLeg{ExactDivider(codec.stride(j)),
+                  ExactDivider(codec.cardinality(j))};
   }
   static std::uint64_t decode_leg(const VarLeg& leg, Key key) noexcept {
-    return (key / leg.stride) % leg.cardinality;
+    return mixed_radix_digit(key, leg.stride, leg.cardinality);
   }
 };
 
@@ -187,15 +192,16 @@ struct KeyTraits<WideKey> {
 
   struct VarLeg {
     unsigned word;  ///< 0 = lo, 1 = hi
-    std::uint64_t stride;
-    std::uint64_t cardinality;
+    ExactDivider stride;
+    ExactDivider cardinality;
   };
   static VarLeg leg_of(const Codec& codec, std::size_t j) {
-    return VarLeg{codec.word_of(j), codec.stride(j), codec.cardinality(j)};
+    return VarLeg{codec.word_of(j), ExactDivider(codec.stride(j)),
+                  ExactDivider(codec.cardinality(j))};
   }
   static std::uint64_t decode_leg(const VarLeg& leg, WideKey key) noexcept {
     const std::uint64_t word = leg.word == 0 ? key.lo : key.hi;
-    return (word / leg.stride) % leg.cardinality;
+    return mixed_radix_digit(word, leg.stride, leg.cardinality);
   }
 };
 

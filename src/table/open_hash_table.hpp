@@ -131,7 +131,16 @@ class BasicOpenHashTable {
   /// Visits every (key, count) pair in unspecified order.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (const Entry& e : entries_) {
+    for_each_in_slots(0, capacity(), fn);
+  }
+
+  /// Visits the (key, count) pairs stored in slots [lo, hi), hi <=
+  /// capacity(): a fixed slice of the table that a parallel sweep can hand
+  /// out as one work item, whatever the partition count.
+  template <typename Fn>
+  void for_each_in_slots(std::size_t lo, std::size_t hi, Fn&& fn) const {
+    for (std::size_t s = lo; s < hi; ++s) {
+      const Entry& e = entries_[s];
       if (!(e.key == kEmptyKey)) fn(e.key, e.count);
     }
   }

@@ -96,7 +96,8 @@ class WideKeyProjector {
     std::uint64_t out = 0;
     for (const Leg& leg : legs_) {
       const std::uint64_t word = leg.word == 0 ? key.lo : key.hi;
-      out += ((word / leg.in_stride) % leg.cardinality) * leg.out_stride;
+      out += mixed_radix_digit(word, leg.in_stride, leg.cardinality) *
+             leg.out_stride;
     }
     return out;
   }
@@ -112,8 +113,8 @@ class WideKeyProjector {
  private:
   struct Leg {
     unsigned word;
-    std::uint64_t in_stride;
-    std::uint64_t cardinality;
+    ExactDivider in_stride;
+    ExactDivider cardinality;
     std::uint64_t out_stride;
   };
   std::vector<Leg> legs_;

@@ -1,7 +1,10 @@
-// Tests for the all-pairs MI pass (Algorithm 4): all three scheduling
-// strategies must agree with each other and with per-pair reference
+// Tests for the all-pairs MI pass (Algorithm 4): both scheduling strategies
+// must agree with each other bit for bit and with per-pair reference
 // computation, for every thread count.
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <numeric>
 
 #include "core/all_pairs_mi.hpp"
 #include "core/info_theory.hpp"
@@ -9,6 +12,8 @@
 #include "core/wait_free_builder.hpp"
 #include "data/generators.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
+#include "util/simd.hpp"
 
 namespace wfbn {
 namespace {
@@ -20,7 +25,9 @@ PotentialTable build_table(const Dataset& data) {
   return builder.build(data);
 }
 
-MiMatrix reference_mi(const PotentialTable& table) {
+/// Reference MI through info_theory's mutual_information, at any key width.
+template <typename K>
+MiMatrix reference_mi(const BasicPotentialTable<K>& table) {
   const std::size_t n = table.codec().variable_count();
   MiMatrix out(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -159,6 +166,136 @@ TEST(AllPairsMi, RejectsDegenerateInputs) {
   EXPECT_THROW((void)all_pairs.compute(table), PreconditionError);
   EXPECT_THROW(AllPairsMi(AllPairsOptions{0, AllPairsStrategy::kFused}),
                PreconditionError);
+}
+
+// ---- Gram oracle: the fused (bit-sliced Gram) kernel against pair-parallel
+
+/// Random keys over `cards` with counts that are mostly small, some with
+/// bits far above the low plane (2^40 + 3), spread over `partitions`
+/// hashtables by the table's own ownership function.
+template <typename K>
+BasicPotentialTable<K> random_table(const std::vector<std::uint32_t>& cards,
+                                    std::size_t rows, std::size_t partitions,
+                                    std::uint64_t seed) {
+  using Traits = KeyTraits<K>;
+  typename Traits::Codec codec = Traits::make_codec(cards);
+  BasicPartitionedTable<K> parts(partitions, Traits::state_space_bound(codec));
+  Xoshiro256 rng(seed);
+  std::vector<State> states(cards.size());
+  std::uint64_t samples = 0;
+  for (std::size_t row = 0; row < rows; ++row) {
+    for (std::size_t v = 0; v < cards.size(); ++v) {
+      states[v] = static_cast<State>(rng() % cards[v]);
+    }
+    const K key = codec.encode(states);
+    const std::uint64_t pick = rng() % 16;
+    const std::uint64_t count =
+        pick == 0 ? (1ULL << 40) + 3 : (pick < 4 ? 1 + rng() % 300 : 1);
+    parts.partition(parts.owner_of(key)).increment(key, count);
+    samples += count;
+  }
+  return BasicPotentialTable<K>(std::move(codec), std::move(parts), samples);
+}
+
+void expect_bit_identical(const MiMatrix& a, const MiMatrix& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    for (std::size_t j = 0; j < a.size(); ++j) {
+      const double x = a.at(i, j);
+      const double y = b.at(i, j);
+      EXPECT_EQ(std::memcmp(&x, &y, sizeof x), 0)
+          << i << "," << j << ": " << x << " vs " << y;
+    }
+  }
+}
+
+struct GramCase {
+  const char* name;
+  std::vector<std::uint32_t> cards;
+  std::size_t rows;
+};
+
+template <typename K>
+void run_gram_oracle(const std::vector<GramCase>& cases) {
+  for (const GramCase& gram_case : cases) {
+    for (const std::size_t pool_size : {std::size_t{1}, std::size_t{2},
+                                         std::size_t{3}, std::size_t{8}}) {
+      std::vector<std::size_t> partition_counts = {1};
+      if (pool_size > 1) partition_counts.push_back(pool_size);
+      for (const std::size_t parts : partition_counts) {
+        const BasicPotentialTable<K> table =
+            random_table<K>(gram_case.cards, gram_case.rows, parts,
+                            1000 + pool_size * 10 + parts);
+        ThreadPool pool(pool_size);
+        const MiMatrix pair =
+            BasicAllPairsMi<K>(
+                AllPairsOptions{pool_size, AllPairsStrategy::kPairParallel})
+                .compute(table, pool);
+        const MiMatrix reference = reference_mi(table);
+        for (const simd::Level cap : {simd::detected(), simd::Level::kScalar}) {
+          SCOPED_TRACE(::testing::Message()
+                       << gram_case.name << " pool=" << pool_size
+                       << " parts=" << parts
+                       << " simd=" << simd::level_name(cap));
+          const simd::ScopedForceLevel force(cap);
+          BasicAllPairsMi<K> fused(
+              AllPairsOptions{pool_size, AllPairsStrategy::kFused});
+          const MiMatrix got = fused.compute(table, pool);
+          expect_bit_identical(got, pair);
+          expect_same(got, reference);
+          const std::vector<std::uint64_t>& visited =
+              fused.stats().worker_entries_visited;
+          EXPECT_EQ(std::accumulate(visited.begin(), visited.end(),
+                                    std::uint64_t{0}),
+                    table.distinct_keys());
+        }
+      }
+    }
+  }
+}
+
+std::vector<GramCase> shared_gram_cases() {
+  return {
+      // 1000 rows: distinct-key counts that are not multiples of 64.
+      GramCase{"all2", std::vector<std::uint32_t>(9, 2), 1000},
+      GramCase{"mixed1to8", {1, 8, 3, 1, 5, 2, 7, 4, 6, 2}, 1000},
+      GramCase{"n2", {3, 5}, 45},
+      // A handful of keys over 8 partitions leaves partitions empty.
+      GramCase{"sparse", {4, 4, 4}, 5},
+      // More occupied slots than one work item holds.
+      GramCase{"many_items", std::vector<std::uint32_t>(16, 2), 40000},
+  };
+}
+
+TEST(GramOracle, NarrowFusedIsBitIdenticalToPairParallel) {
+  run_gram_oracle<Key>(shared_gram_cases());
+}
+
+TEST(GramOracle, WideFusedIsBitIdenticalToPairParallel) {
+  std::vector<GramCase> cases = shared_gram_cases();
+  std::vector<std::uint32_t> wide_cards;
+  for (std::uint32_t v = 0; v < 100; ++v) wide_cards.push_back(1 + v % 3);
+  cases.push_back(GramCase{"n100", wide_cards, 700});
+  run_gram_oracle<WideKey>(cases);
+}
+
+TEST(GramOracle, OnePartitionTableSpreadsOverThePool) {
+  // A table built at P=1 has one partition; its slot ranges still go to
+  // every worker.
+  const Dataset data = generate_uniform(200000, 20, 2, 38);
+  WaitFreeBuilder builder(WaitFreeBuilderOptions{});
+  const PotentialTable table = builder.build(data);
+  ASSERT_EQ(table.partition_count(), 1u);
+  AllPairsMi all_pairs(AllPairsOptions{4, AllPairsStrategy::kFused});
+  const MiMatrix fused = all_pairs.compute(table);
+  std::size_t busy = 0;
+  for (const std::uint64_t v : all_pairs.stats().worker_entries_visited) {
+    busy += v > 0 ? 1 : 0;
+  }
+  EXPECT_GE(busy, 2u);
+  expect_bit_identical(
+      fused, AllPairsMi(AllPairsOptions{4, AllPairsStrategy::kPairParallel})
+                 .compute(table));
 }
 
 }  // namespace

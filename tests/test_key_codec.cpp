@@ -6,8 +6,10 @@
 #include <vector>
 
 #include "table/key_codec.hpp"
+#include "table/key_traits.hpp"
 #include "table/wide_key_codec.hpp"
 #include "util/error.hpp"
+#include "util/exact_div.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 
@@ -304,6 +306,106 @@ TEST(KeyCodecBlock, ForcedDowngradeCapsResolutionAtScalar) {
   codec.encode_block(data.data(), 65, resolved.data(),
                      simd::resolve(simd::Policy::kAvx2));
   EXPECT_EQ(resolved, scalar);
+}
+
+// ---- Exact reciprocal division (the decode of Eq. 4 without `/`) ---------
+
+TEST(ExactDivider, MatchesHardwareDivisionAtTheEdges) {
+  std::vector<std::uint64_t> divisors = {1, 2, 3, 7, 1ULL << 63, ~0ULL};
+  for (unsigned k = 1; k < 64; ++k) {
+    const std::uint64_t p = 1ULL << k;
+    divisors.insert(divisors.end(), {p - 1, p, p + 1});
+  }
+  for (const std::uint64_t d : divisors) {
+    const ExactDivider div(d);
+    EXPECT_EQ(div.divisor(), d);
+    // d + 1 wraps to 0 at d = 2^64 - 1; still a valid dividend.
+    const std::uint64_t dividends[] = {0, 1, d - 1, d, d + 1, ~0ULL};
+    for (const std::uint64_t x : dividends) {
+      EXPECT_EQ(div.divide(x), x / d) << "x=" << x << " d=" << d;
+      EXPECT_EQ(div.remainder(x), x % d) << "x=" << x << " d=" << d;
+    }
+  }
+}
+
+TEST(ExactDivider, MatchesHardwareDivisionOnRandomDividends) {
+  Xoshiro256 rng(2024);
+  const std::uint64_t divisors[] = {1, 2, 3, 5, 7, 10, 255, 1000003,
+                                    (1ULL << 32) + 1, (1ULL << 63) - 1,
+                                    1ULL << 63, ~0ULL};
+  std::vector<ExactDivider> dividers;
+  for (const std::uint64_t d : divisors) dividers.emplace_back(d);
+  std::size_t mismatches = 0;
+  for (std::size_t t = 0; t < 1'000'000; ++t) {
+    // Alternate full-width dividends with ones below 2^32, where the small
+    // divisors produce every remainder.
+    const std::uint64_t x = (t & 1) != 0 ? rng() : rng() >> 32;
+    const ExactDivider& div = dividers[t % dividers.size()];
+    const std::uint64_t d = div.divisor();
+    if (div.divide(x) != x / d || div.remainder(x) != x % d) ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(ExactDivider, DecodeLegAndProjectMatchPlainDivisionNarrow) {
+  const std::vector<std::uint32_t> cards = {1, 2, 3, 7, 1, 4, 5, 2, 8, 3};
+  const KeyCodec codec(cards);
+  std::vector<std::size_t> all(cards.size());
+  std::iota(all.begin(), all.end(), 0);
+  const std::size_t subset[] = {8, 0, 3, 6};
+  const KeyProjector project_all(codec, all);
+  const KeyProjector project_subset(codec, subset);
+  const auto plain_project = [&](Key key, std::span<const std::size_t> vars) {
+    std::uint64_t out = 0;
+    std::uint64_t stride = 1;
+    for (const std::size_t v : vars) {
+      out += ((key / codec.stride(v)) % cards[v]) * stride;
+      stride *= cards[v];
+    }
+    return out;
+  };
+  Xoshiro256 rng(99);
+  for (int t = 0; t < 20000; ++t) {
+    // Half in-range keys, half arbitrary words: the identity holds for both.
+    const Key key = (t & 1) != 0 ? rng() : rng() % codec.state_space_size();
+    for (std::size_t v = 0; v < cards.size(); ++v) {
+      const auto leg = KeyTraits<Key>::leg_of(codec, v);
+      ASSERT_EQ(KeyTraits<Key>::decode_leg(leg, key),
+                (key / codec.stride(v)) % cards[v]);
+    }
+    ASSERT_EQ(project_all.project(key), plain_project(key, all));
+    ASSERT_EQ(project_subset.project(key), plain_project(key, subset));
+  }
+}
+
+TEST(ExactDivider, DecodeLegAndProjectMatchPlainDivisionWide) {
+  // 40 variables of cardinality 1..8 spill into the hi word.
+  std::vector<std::uint32_t> cards;
+  for (std::uint32_t v = 0; v < 40; ++v) cards.push_back(1 + (v * 5) % 8);
+  const WideKeyCodec codec(cards);
+  ASSERT_GT(codec.word_extent(1), 1u);
+  std::vector<std::size_t> subset;
+  for (std::size_t v = 0; v < cards.size(); v += 7) subset.push_back(v);
+  const WideKeyProjector projector(codec, subset);
+  Xoshiro256 rng(100);
+  for (int t = 0; t < 20000; ++t) {
+    const WideKey key{rng() % codec.word_extent(0),
+                      rng() % codec.word_extent(1)};
+    std::uint64_t expected = 0;
+    std::uint64_t stride = 1;
+    for (const std::size_t v : subset) {
+      const std::uint64_t word = codec.word_of(v) == 0 ? key.lo : key.hi;
+      expected += ((word / codec.stride(v)) % cards[v]) * stride;
+      stride *= cards[v];
+    }
+    ASSERT_EQ(projector.project(key), expected);
+    for (std::size_t v = 0; v < cards.size(); ++v) {
+      const std::uint64_t word = codec.word_of(v) == 0 ? key.lo : key.hi;
+      const auto leg = KeyTraits<WideKey>::leg_of(codec, v);
+      ASSERT_EQ(KeyTraits<WideKey>::decode_leg(leg, key),
+                (word / codec.stride(v)) % cards[v]);
+    }
+  }
 }
 
 }  // namespace
