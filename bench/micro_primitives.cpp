@@ -18,6 +18,7 @@
 #include "core/wait_free_builder.hpp"
 #include "data/generators.hpp"
 #include "table/key_codec.hpp"
+#include "table/key_projector.hpp"
 #include "table/open_hash_table.hpp"
 #include "table/wide_key_codec.hpp"
 
@@ -186,10 +187,10 @@ void BM_MarginalizePair(benchmark::State& state) {
   options.threads = 4;
   WaitFreeBuilder builder(options);
   const PotentialTable table = builder.build(data);
-  const Marginalizer marginalizer(static_cast<std::size_t>(state.range(0)));
+  ThreadPool pool(static_cast<std::size_t>(state.range(0)));
   const std::size_t vars[] = {3, 17};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(marginalizer.marginalize(table, vars));
+    benchmark::DoNotOptimize(marginalize(table, vars, {}, pool));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(table.distinct_keys()));

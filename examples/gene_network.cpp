@@ -70,10 +70,10 @@ int main(int argc, char** argv) {
 
   const Dataset data = forward_sample(truth, samples, seed + 2, threads);
 
+  ThreadPool pool(threads);
   ChengOptions options;
-  options.ci.threads = threads;
   options.ci.mi_threshold = cli.get_double("epsilon");
-  const ChengResult result = ChengLearner(options).learn(data);
+  const ChengResult result = ChengLearner(options, pool).learn(data);
 
   const SkeletonMetrics metrics =
       compare_skeletons(result.skeleton, truth.dag().skeleton());

@@ -34,11 +34,10 @@ int main(int argc, char** argv) {
   const Dataset records = forward_sample(
       asia, samples, static_cast<std::uint64_t>(cli.get_int("seed")), threads);
 
-  WaitFreeBuilderOptions build_options;
-  build_options.threads = threads;
-  WaitFreeBuilder builder(build_options);
-  const PotentialTable table = builder.build(records);
-  const QueryEngine engine(table, threads);
+  ThreadPool pool(threads);
+  WaitFreeBuilder builder;
+  const PotentialTable table = builder.build(records, pool);
+  const QueryEngine engine(table, pool);
 
   const NodeId lung = asia.node_by_name("lung");
   const NodeId xray = asia.node_by_name("xray");

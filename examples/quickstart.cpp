@@ -30,9 +30,9 @@ int main() {
                   builder.stats().total_foreign_pushes()));
 
   // 3. Marginalization primitive: P(X0, X1) and its entropy.
-  const Marginalizer marginalizer(4);
+  ThreadPool pool(4);
   const std::size_t pair[] = {0, 1};
-  const MarginalTable joint = marginalizer.marginalize(table, pair);
+  const MarginalTable joint = marginalize(table, pair, {}, pool);
   std::printf("H(X0,X1) = %.4f nats, I(X0;X1) = %.4f nats\n", entropy(joint),
               mutual_information(joint));
 

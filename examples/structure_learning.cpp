@@ -73,14 +73,14 @@ int main(int argc, char** argv) {
 
   const std::string learner = cli.get("learner");
   const bool all = learner == "all";
+  ThreadPool pool(threads);  // borrowed by both constraint learners
   Timer timer;
 
   if (all || learner == "cheng") {
     ChengOptions options;
-    options.ci.threads = threads;
     options.ci.mi_threshold = epsilon;
     timer.reset();
-    const ChengResult result = ChengLearner(options).learn(data);
+    const ChengResult result = ChengLearner(options, pool).learn(data);
     report("cheng", truth, result.oriented, timer.seconds());
     std::printf(
         "  phases: draft=%zu edges, thickening +%zu, thinning -%zu, CI "
@@ -92,10 +92,9 @@ int main(int argc, char** argv) {
   }
   if (all || learner == "pc") {
     PcStableOptions options;
-    options.ci.threads = threads;
     options.ci.mi_threshold = epsilon;
     timer.reset();
-    const PcStableResult result = PcStableLearner(options).learn(data);
+    const PcStableResult result = PcStableLearner(options, pool).learn(data);
     report("pc-stable", truth, result.oriented, timer.seconds());
     std::printf("  levels=%zu, CI tests=%llu\n", result.levels_run,
                 static_cast<unsigned long long>(result.ci_tests));

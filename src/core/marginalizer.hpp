@@ -1,20 +1,28 @@
-// The parallel marginalization primitive (paper §IV-C, Algorithm 3).
+// The marginalization primitive (paper §IV-C, Algorithm 3) — the one sweep
+// every marginal in the library goes through: CI tests, family scores,
+// served marginals/conditionals and pair MI.
 //
-// Each worker sweeps the keys of the table partitions assigned to it, decodes
-// only the variables of interest via a precomputed projector (Eq. 4 per kept
-// variable — never the whole state string), and accumulates a private partial
-// marginal table; partials are merged at the end. Workers touch disjoint
-// table partitions, so the sweep is embarrassingly parallel and
-// cache-friendly — the data-parallelism claim of the paper.
+// The sweep visits the keys of the table partitions, decodes only the
+// variables of interest via a precomputed projector (Eq. 4 per kept variable
+// — never the whole state string), and adds each key's count to the marginal
+// cell it projects to. Evidence terms filter the keys first; a sweep without
+// evidence does no per-key filter work.
 //
-// A template over the key type: Marginalizer sweeps narrow tables,
-// WideMarginalizer two-word tables, through the same kernel (the projector
-// type comes from KeyTraits).
+// Two entry points share one range loop:
+//   * marginalize(table, vars[, evidence]) runs inline on the calling thread
+//     — the path of CI tests (parallelism comes from many tests in flight)
+//     and of served queries (many queries in flight);
+//   * marginalize(table, vars, evidence, pool) is Algorithm 3 proper:
+//     partitions are block-assigned to the pool's workers (with
+//     pool.size() == partition_count this is the one-core-per-hashtable
+//     mapping), each worker fills a private partial table, and the partials
+//     are merged sequentially at the end. Workers touch disjoint partitions,
+//     so the sweep is embarrassingly parallel.
+// Counts are exact integers, so both paths return bit-identical tables.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "concurrent/thread_pool.hpp"
 #include "table/marginal_table.hpp"
@@ -22,55 +30,45 @@
 
 namespace wfbn {
 
-/// Per-worker instrumentation of the last marginalize() call; feeds the
-/// scaling simulator (entries visited == the per-core work term of the
-/// paper's O(m·n/P) bound).
-struct MarginalizeWorkerStats {
-  std::uint64_t entries_visited = 0;
-  double seconds = 0.0;
+/// One observed variable: a filter term of a marginal sweep.
+struct Evidence {
+  std::size_t variable;
+  State state;
 };
 
+/// Count table of `variables` (their order defines the output layout) over
+/// the keys matching every `evidence` term, swept on the calling thread.
+/// Throws PreconditionError on an empty, duplicate or out-of-range variable,
+/// an out-of-range evidence variable or state, or evidence on a variable of
+/// `variables`.
 template <typename K>
-class BasicMarginalizer {
- public:
-  using Traits = KeyTraits<K>;
-  using Table = BasicPotentialTable<K>;
+[[nodiscard]] MarginalTable marginalize(
+    const BasicPotentialTable<K>& table,
+    std::span<const std::size_t> variables,
+    std::span<const Evidence> evidence = {});
 
-  explicit BasicMarginalizer(std::size_t threads = 1);
+/// Same table, swept across `pool`. Each worker fires the
+/// `marginalizer.sweep` fault point once per partition it sweeps; workers
+/// write only their private partials, so a throw leaves no output and the
+/// table untouched.
+template <typename K>
+[[nodiscard]] MarginalTable marginalize(const BasicPotentialTable<K>& table,
+                                        std::span<const std::size_t> variables,
+                                        std::span<const Evidence> evidence,
+                                        ThreadPool& pool);
 
-  /// Marginal count table of `variables` (order defines the output layout).
-  /// Runs on an internal pool of options threads.
-  [[nodiscard]] MarginalTable marginalize(
-      const Table& table, std::span<const std::size_t> variables) const;
-
-  /// Same, reusing an existing pool. Partitions are block-assigned to the
-  /// pool's workers; with pool.size() == partition_count this is exactly
-  /// Algorithm 3's one-core-per-hashtable mapping.
-  [[nodiscard]] MarginalTable marginalize(const Table& table,
-                                          std::span<const std::size_t> variables,
-                                          ThreadPool& pool) const;
-
-  [[nodiscard]] const std::vector<MarginalizeWorkerStats>& worker_stats()
-      const noexcept {
-    return worker_stats_;
-  }
-
-  [[nodiscard]] std::size_t threads() const noexcept { return threads_; }
-
- private:
-  std::size_t threads_;
-  mutable std::vector<MarginalizeWorkerStats> worker_stats_;
-};
-
-extern template class BasicMarginalizer<Key>;
-extern template class BasicMarginalizer<WideKey>;
-
-using Marginalizer = BasicMarginalizer<Key>;
-using WideMarginalizer = BasicMarginalizer<WideKey>;
-
-/// Historical free-function spelling of the wide-table marginalization.
-[[nodiscard]] MarginalTable wide_marginalize(const WidePotentialTable& table,
-                                             std::span<const std::size_t> variables,
-                                             std::size_t threads = 1);
+extern template MarginalTable marginalize<Key>(const PotentialTable&,
+                                               std::span<const std::size_t>,
+                                               std::span<const Evidence>);
+extern template MarginalTable marginalize<WideKey>(
+    const WidePotentialTable&, std::span<const std::size_t>,
+    std::span<const Evidence>);
+extern template MarginalTable marginalize<Key>(const PotentialTable&,
+                                               std::span<const std::size_t>,
+                                               std::span<const Evidence>,
+                                               ThreadPool&);
+extern template MarginalTable marginalize<WideKey>(
+    const WidePotentialTable&, std::span<const std::size_t>,
+    std::span<const Evidence>, ThreadPool&);
 
 }  // namespace wfbn

@@ -1,87 +1,25 @@
 #include "core/query.hpp"
 
 #include <algorithm>
-#include <optional>
 
 #include "util/error.hpp"
 
 namespace wfbn {
 
 template <typename K>
-BasicQueryEngine<K>::BasicQueryEngine(const Table& table, std::size_t threads)
-    : table_(&table), pool_(nullptr), threads_(threads) {
-  WFBN_EXPECT(threads >= 1, "query engine needs at least one thread");
-}
+BasicQueryEngine<K>::BasicQueryEngine(const Table& table)
+    : table_(&table), pool_(nullptr) {}
 
 template <typename K>
 BasicQueryEngine<K>::BasicQueryEngine(const Table& table, ThreadPool& pool)
-    : table_(&table), pool_(&pool), threads_(pool.size()) {}
+    : table_(&table), pool_(&pool) {}
 
 template <typename K>
 MarginalTable BasicQueryEngine<K>::filtered_marginal(
     std::span<const std::size_t> variables,
     std::span<const Evidence> evidence) const {
-  const typename Traits::Codec& codec = table_->codec();
-  for (const Evidence& e : evidence) {
-    WFBN_EXPECT(e.variable < codec.variable_count(), "evidence variable out of range");
-    WFBN_EXPECT(e.state < codec.cardinality(e.variable), "evidence state out of range");
-    WFBN_EXPECT(std::find(variables.begin(), variables.end(), e.variable) ==
-                    variables.end(),
-                "evidence variables must be disjoint from the query set");
-  }
-
-  const typename Traits::Projector projector(codec, variables);
-  // Precompute the decode recipe + expected state per evidence term for the
-  // sweep (the VarLeg comes from the trait, so the filter works at any key
-  // width).
-  struct Filter {
-    typename Traits::VarLeg leg;
-    std::uint64_t state;
-  };
-  std::vector<Filter> filters;
-  filters.reserve(evidence.size());
-  for (const Evidence& e : evidence) {
-    filters.push_back(Filter{Traits::leg_of(codec, e.variable), e.state});
-  }
-
-  const std::size_t parts = table_->partitions().partition_count();
-  const auto sweep_range = [&](std::size_t lo, std::size_t hi,
-                               MarginalTable& partial) {
-    for (std::size_t p = lo; p < hi; ++p) {
-      table_->partitions().partition(p).for_each([&](K key, std::uint64_t c) {
-        for (const Filter& f : filters) {
-          if (Traits::decode_leg(f.leg, key) != f.state) return;
-        }
-        partial.add(projector.project(key), c);
-      });
-    }
-  };
-
-  // Inline evaluation: the serving hot path. One full sweep on the calling
-  // thread, no pool, no partial-table merge.
-  if (pool_ == nullptr && threads_ == 1) {
-    MarginalTable out(projector.variables(), projector.cardinalities());
-    sweep_range(0, parts, out);
-    return out;
-  }
-
-  std::optional<ThreadPool> owned;
-  ThreadPool* pool = pool_;
-  if (pool == nullptr) {
-    owned.emplace(threads_);
-    pool = &*owned;
-  }
-  std::vector<MarginalTable> partials(
-      pool->size(), MarginalTable(projector.variables(), projector.cardinalities()));
-
-  pool->run([&](std::size_t w) {
-    const auto [lo, hi] = ThreadPool::block_range(parts, pool->size(), w);
-    sweep_range(lo, hi, partials[w]);
-  });
-
-  MarginalTable out = std::move(partials[0]);
-  for (std::size_t w = 1; w < partials.size(); ++w) out.merge(partials[w]);
-  return out;
+  if (pool_ == nullptr) return marginalize(*table_, variables, evidence);
+  return marginalize(*table_, variables, evidence, *pool_);
 }
 
 template <typename K>

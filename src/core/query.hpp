@@ -3,49 +3,39 @@
 // built" layer. The paper's footnote 2 observes that counts are normalized
 // lazily at marginalization time; this module is where that happens.
 //
-// Evidence filtering runs as one data-parallel sweep over the table
-// partitions (same access pattern as the marginalization primitive), so
-// conditioning costs the same O(#entries/P) as a marginal.
+// Every query is one evidence-filtered sweep of the marginalization kernel
+// (core/marginalizer.hpp), so conditioning costs the same O(#entries/P) as a
+// marginal.
 //
 // Engines are cheap, stateless views: construction is O(1) and evaluation
-// either runs inline on the calling thread (threads == 1 — no pool is ever
-// spawned) or on a caller-provided ThreadPool. That is what lets the serving
-// layer (src/serve) construct a fresh engine per query over whatever snapshot
-// it just pinned, with per-query cost going entirely to the table sweep.
+// either runs inline on the calling thread (no pool is ever spawned) or on a
+// caller-provided ThreadPool. That is what lets the serving layer
+// (src/serve) construct a fresh engine per query over whatever snapshot it
+// just pinned, with per-query cost going entirely to the table sweep.
 //
-// A template over the key type: evidence decoding goes through KeyTraits'
-// VarLeg recipe, so QueryEngine (narrow) and WideQueryEngine answer the same
-// query set at either key width.
+// A template over the key type: QueryEngine (narrow) and WideQueryEngine
+// answer the same query set at either key width.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "concurrent/thread_pool.hpp"
+#include "core/marginalizer.hpp"
 #include "table/marginal_table.hpp"
 #include "table/potential_table.hpp"
 
 namespace wfbn {
 
-/// One observed variable.
-struct Evidence {
-  std::size_t variable;
-  State state;
-};
-
 template <typename K>
 class BasicQueryEngine {
  public:
-  using Traits = KeyTraits<K>;
   using Table = BasicPotentialTable<K>;
 
-  /// The engine borrows `table`; it must outlive the engine. With
-  /// threads == 1 every query evaluates inline on the calling thread; with
-  /// threads > 1 each query spawns a transient pool (prefer the pool
-  /// constructor when issuing many queries).
-  explicit BasicQueryEngine(const Table& table, std::size_t threads = 1);
+  /// The engine borrows `table`; it must outlive the engine. Every query
+  /// evaluates inline on the calling thread.
+  explicit BasicQueryEngine(const Table& table);
 
   /// Serving constructor: sweeps run on `pool` (borrowed, not owned), so
   /// repeated queries reuse the same workers instead of spawning threads.
@@ -87,8 +77,7 @@ class BasicQueryEngine {
       std::span<const Evidence> evidence) const;
 
   const Table* table_;
-  ThreadPool* pool_;  ///< borrowed evaluation pool; nullptr = owned-by-query
-  std::size_t threads_;
+  ThreadPool* pool_;  ///< borrowed evaluation pool; nullptr = inline
 };
 
 extern template class BasicQueryEngine<Key>;

@@ -61,10 +61,9 @@ BootstrapResult bootstrap_edges(
 template <typename K>
 BootstrapResult bootstrap_cheng(const Dataset& data, ChengOptions cheng,
                                 BootstrapOptions options) {
-  if (options.threads > 1 && cheng.ci.threads <= 1) {
-    cheng.ci.threads = options.threads;
-  }
-  const BasicChengLearner<K> learner(cheng);
+  WFBN_EXPECT(options.threads >= 1, "bootstrap needs at least one thread");
+  ThreadPool pool(options.threads);
+  const BasicChengLearner<K> learner(cheng, pool);
   return bootstrap_edges(
       data,
       [&](const Dataset& resampled) { return learner.learn(resampled).skeleton; },

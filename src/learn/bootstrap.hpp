@@ -19,7 +19,8 @@ namespace wfbn {
 struct BootstrapOptions {
   std::size_t replicates = 20;
   std::uint64_t seed = 1;
-  std::size_t threads = 1;  ///< threads inside each replicate's learner
+  std::size_t threads = 1;  ///< workers of the one pool every replicate's
+                            ///< learner (bootstrap_cheng) runs on
 };
 
 struct BootstrapResult {
@@ -52,8 +53,8 @@ struct BootstrapResult {
 
 /// Convenience: bootstrap_edges with a Cheng learner per replicate, at either
 /// key width (narrow by default; bootstrap_cheng<WideKey> for wide tables).
-/// Each replicate runs the learner's full parallel pipeline with
-/// cheng.ci.threads workers.
+/// Every replicate runs the learner's full parallel pipeline on one shared
+/// pool of options.threads workers.
 template <typename K = Key>
 [[nodiscard]] BootstrapResult bootstrap_cheng(const Dataset& data,
                                               ChengOptions cheng = {},

@@ -89,19 +89,15 @@ BasicChengLearner<K>::BasicChengLearner(ChengOptions options, ThreadPool& pool)
 
 template <typename K>
 ChengResult BasicChengLearner<K>::learn(const Dataset& data) const {
+  if (pool_ == nullptr) {
+    ThreadPool pool(1);
+    return BasicChengLearner(options_, pool).learn(data);
+  }
   Timer timer;
   ChengResult result = [&] {
-    if (pool_ != nullptr) {
-      BasicWaitFreeBuilder<K> builder;
-      const Table table = builder.build(data, *pool_);
-      return learn_with_pool(table, *pool_);
-    }
-    WaitFreeBuilderOptions builder_options;
-    builder_options.threads = options_.ci.threads;
-    BasicWaitFreeBuilder<K> builder(builder_options);
-    ThreadPool pool(options_.ci.threads);
-    const Table table = builder.build(data, pool);
-    return learn_with_pool(table, pool);
+    BasicWaitFreeBuilder<K> builder;
+    const Table table = builder.build(data, *pool_);
+    return learn_with_pool(table, *pool_);
   }();
   result.timings.table_construction = timer.seconds() - result.timings.drafting -
                                       result.timings.thickening -
@@ -113,7 +109,7 @@ ChengResult BasicChengLearner<K>::learn(const Dataset& data) const {
 template <typename K>
 ChengResult BasicChengLearner<K>::learn(const Table& table) const {
   if (pool_ != nullptr) return learn_with_pool(table, *pool_);
-  ThreadPool pool(options_.ci.threads);
+  ThreadPool pool(1);
   return learn_with_pool(table, pool);
 }
 
@@ -123,20 +119,15 @@ ChengResult BasicChengLearner<K>::learn_with_pool(const Table& table,
   const std::size_t n = table.codec().variable_count();
   ChengResult result{UndirectedGraph(n), Dag(n), MiMatrix(n), 0, 0, 0,
                      0, PhaseTimings{}, {}, CiScheduleStats{}};
-  // The tester is shared by every scheduler worker, so it must take the
-  // thread-safe sweep path: reuse cache on → sequential per-call sweeps
-  // through the cache; cache off → threads forced to 1 so each test
-  // marginalizes sequentially on its worker. Either way no pool is nested
-  // inside a work item, and the statistics are bit-identical.
-  CiOptions ci = options_.ci;
-  ci.threads = 1;
-  const BasicCiTester<K> tester(table, ci);
+  // The tester is shared by every scheduler worker: each cache miss sweeps
+  // inline on the worker that asked, so no pool is nested inside a work
+  // item and the statistics are bit-identical for every pool width.
+  const BasicCiTester<K> tester(table, options_.ci);
   BasicCiScheduler<K> scheduler(pool);
 
   // ---------- Phase 1: drafting ----------
   Timer phase_timer;
   AllPairsOptions ap;
-  ap.threads = options_.ci.threads;
   ap.strategy = options_.all_pairs_strategy;
   BasicAllPairsMi<K> all_pairs(ap);
   result.mi = all_pairs.compute(table, pool);

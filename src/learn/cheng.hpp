@@ -41,7 +41,7 @@
 namespace wfbn {
 
 struct ChengOptions {
-  CiOptions ci;  ///< threshold/alpha + cache/cancel knobs for all tests
+  CiOptions ci;  ///< method, threshold/alpha and cancel token for all tests
   AllPairsStrategy all_pairs_strategy = AllPairsStrategy::kFused;
   /// Cut-sets are truncated to this size (keeps conditioning tables dense and
   /// counts statistically meaningful).
@@ -87,8 +87,8 @@ class BasicChengLearner {
 
   /// Borrowed-pool constructor (the BasicQueryEngine pattern): drafting,
   /// thickening, and thinning all schedule their work across `pool`, which
-  /// must outlive the learner. Without it the learner owns a pool of
-  /// options.ci.threads workers per learn() call.
+  /// must outlive the learner. Without it the learner runs each learn() call
+  /// on a one-worker pool of its own.
   BasicChengLearner(ChengOptions options, ThreadPool& pool);
 
   /// Learns from raw data: builds the potential table with the wait-free

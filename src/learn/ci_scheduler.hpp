@@ -108,11 +108,9 @@ class BasicCiScheduler {
   /// Copies the tester's reuse-cache totals into the accumulated stats —
   /// learners call this once when a learn() finishes.
   void absorb_cache_stats(const Tester& tester) noexcept {
-    if (const MarginalReuseCache* cache = tester.cache()) {
-      const MarginalCacheStats s = cache->stats();
-      stats_.cache_hits = s.hits;
-      stats_.cache_misses = s.misses;
-    }
+    const MarginalCacheStats s = tester.cache().stats();
+    stats_.cache_hits = s.hits;
+    stats_.cache_misses = s.misses;
   }
 
  private:

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "core/marginalizer.hpp"
 #include "util/checksum.hpp"
 #include "util/error.hpp"
 #include "util/fault_injection.hpp"
@@ -12,8 +13,7 @@ namespace wfbn {
 // ---------------------------------------------------------------------------
 // MarginalReuseCache
 
-MarginalReuseCache::MarginalReuseCache(std::size_t shards)
-    : shards_(shards == 0 ? 1 : shards) {}
+MarginalReuseCache::MarginalReuseCache() : shards_(kShards) {}
 
 MarginalReuseCache::WordKey MarginalReuseCache::make_key(
     std::span<const std::size_t> vars, std::uint64_t version) {
@@ -96,37 +96,16 @@ CiDecision decide_from_joint(const MarginalTable& joint, std::size_t x,
 
 template <typename K>
 BasicCiTester<K>::BasicCiTester(const Table& table, CiOptions options)
-    : table_(table), options_(options), marginalizer_(options.threads) {
-  WFBN_EXPECT(options_.threads >= 1, "need at least one thread");
+    : table_(table), options_(options) {
   WFBN_EXPECT(options_.mi_threshold >= 0.0, "MI threshold must be >= 0");
   WFBN_EXPECT(options_.alpha > 0.0 && options_.alpha < 1.0, "alpha in (0,1)");
-  if (options_.reuse_marginals) {
-    cache_ = std::make_shared<MarginalReuseCache>(options_.cache_shards);
-  }
 }
 
 template <typename K>
-BasicCiTester<K>::BasicCiTester(const Table& table, CiOptions options,
-                                ThreadPool& pool)
-    : BasicCiTester(table, options) {
-  pool_ = &pool;
-}
-
-template <typename K>
-MarginalTable BasicCiTester<K>::sweep_marginal(
+std::shared_ptr<const MarginalTable> BasicCiTester<K>::joint_marginal(
     std::span<const std::size_t> vars) const {
-  if (cache_) {
-    // Cache-on path: always sweep sequentially on the calling thread, so the
-    // tester is safe under concurrent test() calls (the per-instance
-    // Marginalizer's worker_stats_ buffer is not) and scheduler workers never
-    // nest thread pools. Parallelism comes from tests in flight.
-    if (auto hit = cache_->find(vars, cache_version_)) return *hit;
-    return *cache_->insert(vars, cache_version_,
-                           table_.marginalize_sequential(vars));
-  }
-  if (pool_ != nullptr) return marginalizer_.marginalize(table_, vars, *pool_);
-  if (options_.threads > 1) return marginalizer_.marginalize(table_, vars);
-  return table_.marginalize_sequential(vars);
+  if (auto hit = cache_.find(vars, cache_version_)) return hit;
+  return cache_.insert(vars, cache_version_, marginalize(table_, vars));
 }
 
 template <typename K>
@@ -154,8 +133,7 @@ CiDecision BasicCiTester<K>::test(std::size_t x, std::size_t y,
   joint_vars.insert(joint_vars.end(), z.begin(), z.end());
   std::sort(joint_vars.begin(), joint_vars.end());
 
-  const MarginalTable joint = sweep_marginal(joint_vars);
-  return decide_from_joint(joint, x, y, options_);
+  return decide_from_joint(*joint_marginal(joint_vars), x, y, options_);
 }
 
 template <typename K>
@@ -165,7 +143,7 @@ double BasicCiTester<K>::pair_mi(std::size_t x, std::size_t y) const {
     throw OperationCancelled("structure learning cancelled during MI scoring");
   }
   const std::size_t vars[] = {std::min(x, y), std::max(x, y)};
-  return mutual_information(sweep_marginal(vars));
+  return mutual_information(*joint_marginal(vars));
 }
 
 template class BasicCiTester<Key>;

@@ -12,16 +12,15 @@
 // MarginalReuseCache keyed by the canonical variable set, so each distinct
 // marginalization is swept once per level no matter how many tests (or
 // worker threads) ask for it. Because marginal tables hold exact integer
-// counts and the variable order is canonical, every path — cached or not,
-// sequential or scheduled across a pool — produces bit-identical statistics.
+// counts and the variable order is canonical, every path — cache hit or
+// miss, sequential or scheduled across a pool — produces bit-identical
+// statistics.
 //
-// Thread safety: with the cache enabled (the default) test() marginalizes
-// sequentially on the calling thread and is safe to call concurrently from
-// any number of scheduler workers — parallelism comes from many tests in
-// flight, not from inside one test. With the cache disabled the tester falls
-// back to the legacy per-test parallel marginalization (borrowed pool if one
-// was provided, else an internal Marginalizer with the deprecated `threads`
-// knob) and must then be driven from one thread at a time.
+// Thread safety: a cache miss marginalizes inline on the calling thread, so
+// test() is safe to call concurrently from any number of scheduler workers —
+// parallelism comes from many tests in flight, not from inside one test
+// (which is also where Jiang et al. find the speed: marginal reuse, not
+// intra-test parallelism).
 #pragma once
 
 #include <atomic>
@@ -32,9 +31,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "concurrent/thread_pool.hpp"
 #include "core/info_theory.hpp"
-#include "core/marginalizer.hpp"
+#include "table/marginal_table.hpp"
 #include "table/potential_table.hpp"
 
 namespace wfbn {
@@ -48,15 +46,6 @@ struct CiOptions {
   CiMethod method = CiMethod::kMiThreshold;
   double mi_threshold = 0.01;  ///< ε (nats) for kMiThreshold
   double alpha = 0.01;         ///< significance level for kGTest
-  /// DEPRECATED alias: worker count for the learner-owned pool when no
-  /// ThreadPool is borrowed (and for legacy per-test marginalization when
-  /// reuse_marginals is off). New code should hand the learner a ThreadPool&
-  /// instead — one pool per learn call, tests scheduled across it.
-  std::size_t threads = 1;
-  /// Share {x,y} ∪ Z marginalizations across tests through the sharded
-  /// reuse cache. On/off is bit-identical; off only exists for measurement.
-  bool reuse_marginals = true;
-  std::size_t cache_shards = 16;
   /// Cooperative cancellation: polled at the top of every CI test; a set
   /// flag makes the tester throw OperationCancelled (learners surface it as
   /// a clean error, never a torn graph). Borrowed, may be null.
@@ -83,7 +72,9 @@ struct MarginalCacheStats {
 /// bit-identical, so nothing observable depends on the winner).
 class MarginalReuseCache {
  public:
-  explicit MarginalReuseCache(std::size_t shards = 16);
+  static constexpr std::size_t kShards = 16;
+
+  MarginalReuseCache();
 
   /// The cached marginal over `vars` (must be sorted) or null.
   [[nodiscard]] std::shared_ptr<const MarginalTable> find(
@@ -130,20 +121,15 @@ class MarginalReuseCache {
                                            std::size_t x, std::size_t y,
                                            const CiOptions& options);
 
-/// Stateless apart from configuration + the table it tests against; safe to
-/// share across phases and (with the reuse cache enabled) across scheduler
-/// workers. Counts tests for complexity reporting.
+/// Stateless apart from configuration, the table it tests against and its
+/// reuse cache; safe to share across phases and across scheduler workers.
+/// Counts tests for complexity reporting.
 template <typename K>
 class BasicCiTester {
  public:
   using Table = BasicPotentialTable<K>;
 
   BasicCiTester(const Table& table, CiOptions options);
-
-  /// Borrowed-pool constructor (the BasicQueryEngine pattern): with the
-  /// reuse cache off, per-test marginalizations run across `pool` instead of
-  /// spawning threads per test. The pool must outlive the tester.
-  BasicCiTester(const Table& table, CiOptions options, ThreadPool& pool);
 
   /// Tests X ⟂ Y | Z. Z may be empty (marginal independence, Eq. 1).
   [[nodiscard]] CiDecision test(std::size_t x, std::size_t y,
@@ -158,9 +144,9 @@ class BasicCiTester {
   [[nodiscard]] const CiOptions& options() const noexcept { return options_; }
   [[nodiscard]] const Table& table() const noexcept { return table_; }
 
-  /// The reuse cache (null when options.reuse_marginals is off).
-  [[nodiscard]] const MarginalReuseCache* cache() const noexcept {
-    return cache_.get();
+  /// The reuse cache every test() and pair_mi() goes through.
+  [[nodiscard]] const MarginalReuseCache& cache() const noexcept {
+    return cache_;
   }
 
   /// Version word for cache keys — set to the snapshot version when testing
@@ -170,16 +156,14 @@ class BasicCiTester {
   }
 
  private:
-  [[nodiscard]] MarginalTable sweep_marginal(
+  /// The marginal over `vars` (sorted): a cache hit, or one inline sweep
+  /// whose result is cached.
+  [[nodiscard]] std::shared_ptr<const MarginalTable> joint_marginal(
       std::span<const std::size_t> vars) const;
-  [[nodiscard]] CiDecision decide_canonical(std::size_t x, std::size_t y,
-                                            std::span<const std::size_t> z) const;
 
   const Table& table_;
   CiOptions options_;
-  BasicMarginalizer<K> marginalizer_;
-  ThreadPool* pool_ = nullptr;  ///< borrowed; only the cache-off path uses it
-  std::shared_ptr<MarginalReuseCache> cache_;
+  mutable MarginalReuseCache cache_;  ///< thread-safe; filled by const tests
   std::uint64_t cache_version_ = 0;
   mutable std::atomic<std::uint64_t> tests_{0};
 };

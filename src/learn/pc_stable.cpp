@@ -63,21 +63,18 @@ BasicPcStableLearner<K>::BasicPcStableLearner(PcStableOptions options,
 
 template <typename K>
 PcStableResult BasicPcStableLearner<K>::learn(const Dataset& data) const {
-  if (pool_ != nullptr) {
-    BasicWaitFreeBuilder<K> builder;
-    return learn_with_pool(builder.build(data, *pool_), *pool_);
+  if (pool_ == nullptr) {
+    ThreadPool pool(1);
+    return BasicPcStableLearner(options_, pool).learn(data);
   }
-  WaitFreeBuilderOptions builder_options;
-  builder_options.threads = options_.ci.threads;
-  BasicWaitFreeBuilder<K> builder(builder_options);
-  ThreadPool pool(options_.ci.threads);
-  return learn_with_pool(builder.build(data, pool), pool);
+  BasicWaitFreeBuilder<K> builder;
+  return learn_with_pool(builder.build(data, *pool_), *pool_);
 }
 
 template <typename K>
 PcStableResult BasicPcStableLearner<K>::learn(const Table& table) const {
   if (pool_ != nullptr) return learn_with_pool(table, *pool_);
-  ThreadPool pool(options_.ci.threads);
+  ThreadPool pool(1);
   return learn_with_pool(table, pool);
 }
 
@@ -86,11 +83,9 @@ PcStableResult BasicPcStableLearner<K>::learn_with_pool(const Table& table,
                                                         ThreadPool& pool) const {
   const std::size_t n = table.codec().variable_count();
   PcStableResult result{UndirectedGraph(n), Dag(n), {}, 0, 0, CiScheduleStats{}};
-  // Thread-safe tester configuration — see BasicChengLearner: sweeps stay
-  // sequential per test, parallelism comes from pairs in flight.
-  CiOptions ci = options_.ci;
-  ci.threads = 1;
-  const BasicCiTester<K> tester(table, ci);
+  // Shared by every scheduler worker — see BasicChengLearner: sweeps stay
+  // inline per test, parallelism comes from pairs in flight.
+  const BasicCiTester<K> tester(table, options_.ci);
   BasicCiScheduler<K> scheduler(pool);
 
   // Start from the complete graph.

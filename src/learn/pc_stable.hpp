@@ -58,7 +58,7 @@ class BasicPcStableLearner {
 
   /// Borrowed-pool constructor: every level's subset searches are scheduled
   /// across `pool`, which must outlive the learner. Without it the learner
-  /// owns a pool of options.ci.threads workers per learn() call.
+  /// runs each learn() call on a one-worker pool of its own.
   BasicPcStableLearner(PcStableOptions options, ThreadPool& pool);
 
   /// Learns from raw data (builds the potential table with the wait-free

@@ -11,21 +11,17 @@
 namespace wfbn {
 
 template <typename K>
-BasicFamilyScorer<K>::BasicFamilyScorer(const Table& table, std::size_t threads)
-    : table_(table), threads_(threads) {
-  WFBN_EXPECT(threads >= 1, "scorer needs at least one thread");
-}
+BasicFamilyScorer<K>::BasicFamilyScorer(const Table& table) : table_(table) {}
 
 template <typename K>
 BasicFamilyScorer<K>::BasicFamilyScorer(const Table& table, ThreadPool& pool)
-    : table_(table), threads_(pool.size()), pool_(&pool) {}
+    : table_(table), pool_(&pool) {}
 
 template <typename K>
 MarginalTable BasicFamilyScorer<K>::sweep(
     std::span<const std::size_t> vars) const {
-  const BasicMarginalizer<K> marginalizer(threads_);
-  if (pool_ != nullptr) return marginalizer.marginalize(table_, vars, *pool_);
-  return marginalizer.marginalize(table_, vars);
+  if (pool_ == nullptr) return marginalize(table_, vars);
+  return marginalize(table_, vars, {}, *pool_);
 }
 
 template <typename K>
@@ -116,18 +112,17 @@ bool is_candidate(const HillClimbOptions& options, NodeId parent, NodeId child) 
   return std::find(c.begin(), c.end(), parent) != c.end();
 }
 
-}  // namespace
-
+/// The greedy search proper, over whichever scorer the caller set up.
 template <typename K>
-HillClimbResult hill_climb(const BasicPotentialTable<K>& table,
-                           const HillClimbOptions& options) {
+HillClimbResult climb(const BasicPotentialTable<K>& table,
+                      const BasicFamilyScorer<K>& scorer,
+                      const HillClimbOptions& options) {
   const std::size_t n = table.codec().variable_count();
   WFBN_EXPECT(options.max_parents >= 1, "max_parents must be >= 1");
   WFBN_EXPECT(options.candidate_parents.empty() ||
                   options.candidate_parents.size() == n,
               "candidate_parents must have one entry per node");
 
-  const BasicFamilyScorer<K> scorer(table, options.threads);
   HillClimbResult result{Dag(n), 0.0, 0, 0, 0};
   Dag& dag = result.dag;
 
@@ -214,22 +209,43 @@ HillClimbResult hill_climb(const BasicPotentialTable<K>& table,
   return result;
 }
 
+/// Scores on `pool` when it has more than one worker, else inline.
+template <typename K>
+HillClimbResult climb_on(const BasicPotentialTable<K>& table,
+                         ThreadPool& pool, const HillClimbOptions& options) {
+  if (pool.size() == 1) {
+    return climb(table, BasicFamilyScorer<K>(table), options);
+  }
+  return climb(table, BasicFamilyScorer<K>(table, pool), options);
+}
+
+}  // namespace
+
+template <typename K>
+HillClimbResult hill_climb(const BasicPotentialTable<K>& table,
+                           const HillClimbOptions& options) {
+  if (options.threads <= 1) {
+    return climb(table, BasicFamilyScorer<K>(table), options);
+  }
+  ThreadPool pool(options.threads);
+  return climb_on(table, pool, options);
+}
+
 template <typename K>
 HillClimbResult hill_climb_sparse(const Dataset& data,
                                   std::size_t candidates_per_node,
                                   HillClimbOptions options) {
-  WaitFreeBuilderOptions builder_options;
-  builder_options.threads = options.threads == 0 ? 1 : options.threads;
-  BasicWaitFreeBuilder<K> builder(builder_options);
-  const BasicPotentialTable<K> table = builder.build(data);
+  // One pool for the whole call: the build, the MI sweep and the scorer.
+  ThreadPool pool(std::max<std::size_t>(options.threads, 1));
+  BasicWaitFreeBuilder<K> builder;
+  const BasicPotentialTable<K> table = builder.build(data, pool);
 
   AllPairsOptions mi_options;
-  mi_options.threads = builder_options.threads;
   mi_options.strategy = AllPairsStrategy::kFused;
   BasicAllPairsMi<K> all_pairs(mi_options);
-  const MiMatrix mi = all_pairs.compute(table);
+  const MiMatrix mi = all_pairs.compute(table, pool);
   options.candidate_parents = sparse_candidates(mi, candidates_per_node);
-  return hill_climb(table, options);
+  return climb_on(table, pool, options);
 }
 
 template class BasicFamilyScorer<Key>;

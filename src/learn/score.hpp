@@ -23,6 +23,7 @@
 #include "concurrent/thread_pool.hpp"
 #include "core/all_pairs_mi.hpp"
 #include "data/dataset.hpp"
+#include "table/marginal_table.hpp"
 #include "table/potential_table.hpp"
 
 namespace wfbn {
@@ -34,12 +35,12 @@ class BasicFamilyScorer {
  public:
   using Table = BasicPotentialTable<K>;
 
-  /// Borrows `table`; it must outlive the scorer. `threads` parallelizes the
-  /// marginalizations that produce the family counts.
-  explicit BasicFamilyScorer(const Table& table, std::size_t threads = 1);
+  /// Borrows `table`; it must outlive the scorer. Family counts are
+  /// marginalized inline on the calling thread.
+  explicit BasicFamilyScorer(const Table& table);
 
   /// Borrowed-pool constructor: family-count marginalizations run across
-  /// `pool` (which must outlive the scorer) instead of per-call threads.
+  /// `pool`, which must outlive the scorer.
   BasicFamilyScorer(const Table& table, ThreadPool& pool);
 
   /// BIC score of the family (v | parents). Parents need not be sorted;
@@ -59,8 +60,7 @@ class BasicFamilyScorer {
   [[nodiscard]] MarginalTable sweep(std::span<const std::size_t> vars) const;
 
   const Table& table_;
-  std::size_t threads_;
-  ThreadPool* pool_ = nullptr;  ///< borrowed; null → per-call threads
+  ThreadPool* pool_ = nullptr;  ///< borrowed; null → inline sweeps
   mutable std::map<std::pair<std::size_t, std::vector<std::size_t>>, double>
       cache_;
   mutable std::uint64_t evaluations_ = 0;
@@ -74,6 +74,7 @@ using FamilyScorer = BasicFamilyScorer<Key>;
 using WideFamilyScorer = BasicFamilyScorer<WideKey>;
 
 struct HillClimbOptions {
+  /// Workers of the one pool a call runs on; 1 scores inline, no pool.
   std::size_t threads = 1;
   /// Cap on parents per node (keeps family tables dense and counts honest).
   std::size_t max_parents = 3;

@@ -1,9 +1,11 @@
 #include "serve/serve_engine.hpp"
 
 #include <exception>
+#include <string>
 #include <utility>
 
 #include "core/info_theory.hpp"
+#include "core/marginalizer.hpp"
 #include "learn/cheng.hpp"
 #include "learn/chow_liu.hpp"
 #include "learn/pc_stable.hpp"
@@ -42,28 +44,35 @@ template <typename K>
 BasicServeEngine<K>::BasicServeEngine(Store& store, ServeOptions options)
     : store_(&store),
       options_(options),
-      cache_(options.cache_shards, options.cache_entries_per_shard) {
-  WFBN_EXPECT(options_.query_threads >= 1,
-              "serve engine needs at least one query thread");
-}
+      cache_(options.cache_shards, options.cache_entries_per_shard) {}
 
 template <typename K>
 std::vector<double> BasicServeEngine<K>::compute(
     const Table& table, QueryKind kind,
     std::span<const std::size_t> variables,
     std::span<const Evidence> evidence) const {
+  // Refuse an oversized answer before the kernel allocates it. Out-of-range
+  // variables stop the product; the kernel rejects them.
+  std::uint64_t cells = 1;
+  for (const std::size_t v : variables) {
+    if (v >= table.codec().variable_count()) break;
+    cells *= table.codec().cardinality(v);
+    if (cells > kMaxQueryCells) {
+      throw PreconditionError("query over " + std::to_string(variables.size()) +
+                              " variables exceeds the " +
+                              std::to_string(kMaxQueryCells) + "-cell cap");
+    }
+  }
   switch (kind) {
     case QueryKind::kMarginal:
-      return BasicQueryEngine<K>(table, options_.query_threads)
-          .marginal(variables);
+      return BasicQueryEngine<K>(table).marginal(variables);
     case QueryKind::kConditional:
-      return BasicQueryEngine<K>(table, options_.query_threads)
-          .conditional(variables, evidence);
+      return BasicQueryEngine<K>(table).conditional(variables, evidence);
     case QueryKind::kPairMi: {
       WFBN_EXPECT(variables.size() == 2, "pair MI takes exactly two variables");
       // One pair marginalization answers Eq. 1 — the single-variable
       // marginals are derived from the pair table (paper §IV-C).
-      return {mutual_information(table.marginalize_sequential(variables))};
+      return {mutual_information(marginalize(table, variables))};
     }
   }
   throw PreconditionError("unknown query kind");
@@ -180,7 +189,6 @@ LearnedStructure BasicServeEngine<K>::learn_structure(
   ci.method = request.method;
   ci.mi_threshold = request.mi_threshold;
   ci.alpha = request.alpha;
-  ci.threads = request.threads;
   ci.cancel = request.cancel;
 
   switch (request.algorithm) {

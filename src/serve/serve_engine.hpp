@@ -5,9 +5,10 @@
 // store currently publishes. Per query it (1) pins the current snapshot with
 // one wait-free load, (2) consults the sharded result cache under the key
 // (kind, query payload, snapshot version), and (3) on a miss evaluates
-// inline with a per-snapshot QueryEngine and inserts the answer. Ingestion
-// goes through the same engine so the publish and the cache invalidation of
-// superseded versions stay paired.
+// inline on the calling thread — one sweep of the marginalization kernel —
+// and inserts the answer. Parallelism comes from many queries in flight,
+// not from inside one query. Ingestion goes through the same engine so the
+// publish and the cache invalidation of superseded versions stay paired.
 //
 // Thread safety: every public method may be called concurrently from any
 // number of threads. serve_batch() additionally dispatches a whole workload
@@ -39,11 +40,13 @@ struct ServeOptions {
   bool cache_enabled = true;
   std::size_t cache_shards = 16;
   std::size_t cache_entries_per_shard = 4096;
-  /// Threads per single query sweep. 1 (the default) evaluates inline on the
-  /// serving thread — the right choice under concurrent load, where the
-  /// parallelism comes from many queries in flight, not from one query.
-  std::size_t query_threads = 1;
 };
+
+/// Largest dense answer a query may ask for: ∏ r over its variables. A
+/// marginal or conditional past it is refused before anything is allocated —
+/// one query over all 30 binary variables would otherwise zero-fill 8 GiB.
+/// 2^24 cells are 128 MiB of counts.
+inline constexpr std::uint64_t kMaxQueryCells = std::uint64_t{1} << 24;
 
 enum class QueryKind : std::uint8_t {
   kMarginal,     ///< P(V) over `variables`
@@ -113,7 +116,8 @@ class BasicServeEngine {
   /// Borrows `store`; it must outlive the engine.
   explicit BasicServeEngine(Store& store, ServeOptions options = {});
 
-  /// P(V). Throws PreconditionError on invalid variables.
+  /// P(V). Throws PreconditionError on invalid variables or when the
+  /// answer would have more than kMaxQueryCells cells.
   ServeResult marginal(std::span<const std::size_t> variables);
 
   /// P(V | evidence). Throws DataError on zero-support evidence; the failed

@@ -7,6 +7,7 @@
 #include "concurrent/spsc_queue.hpp"
 #include "data/generators.hpp"
 #include "table/key_codec.hpp"
+#include "table/key_projector.hpp"
 #include "table/open_hash_table.hpp"
 #include "util/error.hpp"
 #include "util/timer.hpp"

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <limits>
 #include <string>
-#include <unordered_set>
 #include <utility>
 
 #include "table/simd_kernels.hpp"
@@ -105,24 +104,6 @@ void KeyCodec::decode_all(Key key, std::span<State> out) const noexcept {
   for (std::size_t j = 0; j < n; ++j) {
     out[j] = static_cast<State>(key % cardinalities_[j]);
     key /= cardinalities_[j];
-  }
-}
-
-KeyProjector::KeyProjector(const KeyCodec& codec,
-                           std::span<const std::size_t> variables) {
-  WFBN_EXPECT(!variables.empty(), "projection needs at least one variable");
-  std::unordered_set<std::size_t> seen;
-  legs_.reserve(variables.size());
-  variables_.assign(variables.begin(), variables.end());
-  cardinalities_.reserve(variables.size());
-  for (const std::size_t v : variables) {
-    WFBN_EXPECT(v < codec.variable_count(), "projection variable out of range");
-    WFBN_EXPECT(seen.insert(v).second, "duplicate projection variable");
-    const std::uint64_t r = codec.cardinality(v);
-    legs_.push_back(
-        Leg{ExactDivider(codec.stride(v)), ExactDivider(r), range_});
-    cardinalities_.push_back(codec.cardinality(v));
-    range_ *= r;
   }
 }
 

@@ -13,7 +13,6 @@
 #include <span>
 #include <vector>
 
-#include "util/exact_div.hpp"
 #include "util/simd.hpp"
 
 namespace wfbn {
@@ -84,49 +83,6 @@ class KeyCodec {
   std::vector<std::uint32_t> cardinalities_;
   std::vector<Key> strides_;
   Key total_states_ = 1;
-};
-
-/// Precomputed projection of full keys onto the sub-key of a variable subset
-/// — the inner loop of the marginalization primitive. For subset V with
-/// variables v_1 < ... < v_k (any order is accepted; order defines the
-/// marginal table's layout):
-///   project(key) = sum_i decode(key, v_i) * out_stride_i
-class KeyProjector {
- public:
-  /// Throws PreconditionError on duplicate or out-of-range variables.
-  KeyProjector(const KeyCodec& codec, std::span<const std::size_t> variables);
-
-  /// Index into the marginal table for this key. O(|V|), no division
-  /// instruction: each leg's digit goes through exact reciprocals.
-  [[nodiscard]] std::uint64_t project(Key key) const noexcept {
-    std::uint64_t out = 0;
-    for (const Leg& leg : legs_) {
-      out += mixed_radix_digit(key, leg.in_stride, leg.cardinality) *
-             leg.out_stride;
-    }
-    return out;
-  }
-
-  /// Joint state-space size of the subset (marginal table length).
-  [[nodiscard]] std::uint64_t range_size() const noexcept { return range_; }
-
-  [[nodiscard]] const std::vector<std::size_t>& variables() const noexcept {
-    return variables_;
-  }
-  [[nodiscard]] const std::vector<std::uint32_t>& cardinalities() const noexcept {
-    return cardinalities_;
-  }
-
- private:
-  struct Leg {
-    ExactDivider in_stride;
-    ExactDivider cardinality;
-    std::uint64_t out_stride;
-  };
-  std::vector<Leg> legs_;
-  std::vector<std::size_t> variables_;
-  std::vector<std::uint32_t> cardinalities_;
-  std::uint64_t range_ = 1;
 };
 
 }  // namespace wfbn

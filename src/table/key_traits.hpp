@@ -6,7 +6,7 @@
 // sweeps, and the serving stack — is a template over the key type K and asks
 // KeyTraits<K> for the handful of operations that depend on the width:
 //
-//   Codec / Projector   the Eq. 3/4 encode/decode machinery for K
+//   Codec               the Eq. 3/4 encode/decode machinery for K
 //   empty_key()         the hashtable's reserved empty-slot sentinel
 //   slot_hash()         hash for open-addressing slot selection
 //   supports()/owner()  which partition schemes exist and who owns a key
@@ -43,7 +43,6 @@ struct KeyTraits;
 template <>
 struct KeyTraits<Key> {
   using Codec = KeyCodec;
-  using Projector = KeyProjector;
 
   static constexpr const char* kWidthName = "narrow";
 
@@ -127,7 +126,6 @@ struct KeyTraits<Key> {
 template <>
 struct KeyTraits<WideKey> {
   using Codec = WideKeyCodec;
-  using Projector = WideKeyProjector;
 
   static constexpr const char* kWidthName = "wide";
 

@@ -3,8 +3,9 @@
 // hashtables plus the sample count.
 //
 // This is the object the construction primitives produce and the
-// marginalization primitive consumes. It intentionally exposes its
-// partitioned table: the primitives are data-parallel over the partitions.
+// marginalization primitive (core/marginalizer.hpp) consumes. It
+// intentionally exposes its partitioned table: the primitives are
+// data-parallel over the partitions.
 // A template over the key type — PotentialTable (64-bit keys, joint spaces
 // up to 2^63) and WidePotentialTable (two-word keys, up to 2^126) are the
 // same class instantiated over KeyTraits.
@@ -16,7 +17,6 @@
 #include <utility>
 
 #include "table/key_traits.hpp"
-#include "table/marginal_table.hpp"
 #include "table/partitioned_table.hpp"
 
 namespace wfbn {
@@ -73,12 +73,6 @@ class BasicPotentialTable {
 
   /// Occurrence count of a full state string.
   [[nodiscard]] std::uint64_t count_of(std::span<const State> states) const;
-
-  /// Sequential reference marginalization (the O(#entries · |V|) sweep of
-  /// Algorithm 3 run on one core). The parallel version lives in
-  /// core/marginalizer.hpp; tests compare the two.
-  [[nodiscard]] MarginalTable marginalize_sequential(
-      std::span<const std::size_t> variables) const;
 
   /// Internal consistency checks (counts sum to m; keys within state space).
   /// Used by tests and debug assertions; O(#entries).

@@ -1,7 +1,6 @@
 #include "table/wide_key_codec.hpp"
 
 #include <string>
-#include <unordered_set>
 #include <utility>
 
 #include "table/simd_kernels.hpp"
@@ -118,25 +117,6 @@ void WideKeyCodec::encode_block(const State* rows, std::size_t row_count,
 void WideKeyCodec::decode_all(WideKey key, std::span<State> out) const noexcept {
   for (std::size_t j = 0; j < cardinalities_.size(); ++j) {
     out[j] = decode(key, j);
-  }
-}
-
-WideKeyProjector::WideKeyProjector(const WideKeyCodec& codec,
-                                   std::span<const std::size_t> variables) {
-  WFBN_EXPECT(!variables.empty(), "projection needs at least one variable");
-  std::unordered_set<std::size_t> seen;
-  legs_.reserve(variables.size());
-  variables_.assign(variables.begin(), variables.end());
-  cardinalities_.reserve(variables.size());
-  for (const std::size_t v : variables) {
-    WFBN_EXPECT(v < codec.variable_count(), "projection variable out of range");
-    WFBN_EXPECT(seen.insert(v).second, "duplicate projection variable");
-    const std::uint64_t r = codec.cardinality(v);
-    legs_.push_back(Leg{codec.word_of(v), ExactDivider(codec.stride(v)),
-                       ExactDivider(r), range_});
-    cardinalities_.push_back(codec.cardinality(v));
-    range_ *= r;
-    WFBN_EXPECT(range_ <= (1ULL << 30), "marginal table too large to be dense");
   }
 }
 

@@ -6,7 +6,7 @@
 //
 // A WideKey is an ordered pair (lo, hi); each variable lives entirely in one
 // word, so single-variable decoding (Eq. 4) stays O(1) and the
-// marginalization projector works unchanged per word.
+// marginalization projector (table/key_projector.hpp) decodes per word.
 #pragma once
 
 #include <cstdint>
@@ -84,43 +84,6 @@ class WideKeyCodec {
   std::vector<unsigned> words_;         // 0 = lo, 1 = hi
   std::vector<std::uint64_t> strides_;  // stride within the word
   std::uint64_t extents_[2] = {1, 1};   // joint state count per word
-};
-
-/// Projects wide keys onto a marginal-table index (Eq. 4 per kept variable).
-class WideKeyProjector {
- public:
-  WideKeyProjector(const WideKeyCodec& codec,
-                   std::span<const std::size_t> variables);
-
-  [[nodiscard]] std::uint64_t project(WideKey key) const noexcept {
-    std::uint64_t out = 0;
-    for (const Leg& leg : legs_) {
-      const std::uint64_t word = leg.word == 0 ? key.lo : key.hi;
-      out += mixed_radix_digit(word, leg.in_stride, leg.cardinality) *
-             leg.out_stride;
-    }
-    return out;
-  }
-
-  [[nodiscard]] std::uint64_t range_size() const noexcept { return range_; }
-  [[nodiscard]] const std::vector<std::size_t>& variables() const noexcept {
-    return variables_;
-  }
-  [[nodiscard]] const std::vector<std::uint32_t>& cardinalities() const noexcept {
-    return cardinalities_;
-  }
-
- private:
-  struct Leg {
-    unsigned word;
-    ExactDivider in_stride;
-    ExactDivider cardinality;
-    std::uint64_t out_stride;
-  };
-  std::vector<Leg> legs_;
-  std::vector<std::size_t> variables_;
-  std::vector<std::uint32_t> cardinalities_;
-  std::uint64_t range_ = 1;
 };
 
 }  // namespace wfbn

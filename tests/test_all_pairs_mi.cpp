@@ -33,7 +33,7 @@ MiMatrix reference_mi(const BasicPotentialTable<K>& table) {
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
       const std::size_t vars[] = {i, j};
-      out.set(i, j, mutual_information(table.marginalize_sequential(vars)));
+      out.set(i, j, mutual_information(marginalize(table, vars)));
     }
   }
   return out;

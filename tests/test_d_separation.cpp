@@ -113,7 +113,7 @@ TEST(DSeparation, AgreesWithSampledConditionalMi) {
   options.threads = 4;
   WaitFreeBuilder builder(options);
   const PotentialTable table = builder.build(data);
-  const Marginalizer marginalizer(4);
+  ThreadPool pool(4);
 
   const NodeId S = asia.node_by_name("smoke");
   const NodeId L = asia.node_by_name("lung");
@@ -124,20 +124,20 @@ TEST(DSeparation, AgreesWithSampledConditionalMi) {
   // bronc ⟂ lung | smoke (d-separated) → CMI ≈ 0.
   {
     const std::size_t vars[] = {B, L, S};
-    const MarginalTable joint = marginalizer.marginalize(table, vars);
+    const MarginalTable joint = marginalize(table, vars, {}, pool);
     EXPECT_LT(conditional_mutual_information(joint, B, L), 2e-4);
   }
   // dysp depends on bronc even given either (direct edge) → CMI ≫ 0.
   {
     const std::size_t vars[] = {D, B, E};
-    const MarginalTable joint = marginalizer.marginalize(table, vars);
+    const MarginalTable joint = marginalize(table, vars, {}, pool);
     EXPECT_GT(conditional_mutual_information(joint, D, B), 0.05);
   }
   // smoke ⟂ xray | either → CMI ≈ 0.
   {
     const NodeId X = asia.node_by_name("xray");
     const std::size_t vars[] = {S, X, E};
-    const MarginalTable joint = marginalizer.marginalize(table, vars);
+    const MarginalTable joint = marginalize(table, vars, {}, pool);
     EXPECT_LT(conditional_mutual_information(joint, S, X), 2e-4);
   }
 }

@@ -149,8 +149,8 @@ TEST(Discretize, PreservesDependenceForTheLearner) {
   }
   const Dataset data = discretize(values, 30000, 2, {});
   ChengOptions options;
-  options.ci.threads = 2;
-  const ChengResult result = ChengLearner(options).learn(data);
+  ThreadPool pool(2);
+  const ChengResult result = ChengLearner(options, pool).learn(data);
   EXPECT_TRUE(result.skeleton.has_edge(0, 1));
 }
 
@@ -179,12 +179,11 @@ TEST(Bootstrap, TrueEdgesGetHighConfidenceNoiseGetsLow) {
   BootstrapOptions options;
   options.replicates = 10;
   options.threads = 2;
+  ThreadPool pool(2);
   const BootstrapResult result = bootstrap_edges(
       data,
-      [](const Dataset& d) {
-        ChengOptions learn_options;
-        learn_options.ci.threads = 2;
-        return ChengLearner(learn_options).learn(d).skeleton;
+      [&pool](const Dataset& d) {
+        return ChengLearner(ChengOptions{}, pool).learn(d).skeleton;
       },
       options);
   ASSERT_EQ(result.nodes, 5u);

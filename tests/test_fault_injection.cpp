@@ -112,14 +112,14 @@ TEST(FaultInjection, MarginalizeThrowsTypedErrorOrStaysExact) {
   options.threads = 4;
   const PotentialTable table = WaitFreeBuilder(options).build(data);
   const std::size_t vars[] = {1, 4};
-  const Marginalizer marginalizer(4);
-  const MarginalTable expected = table.marginalize_sequential(vars);
+  ThreadPool pool(4);
+  const MarginalTable expected = marginalize(table, vars);
 
   for (const std::uint64_t fire_on : {1ull, 2ull, 4ull}) {
     fault::ScopedFaultInjection injection;
     fault::arm(fault::Point::kMarginalizeSweep, fire_on);
     try {
-      const MarginalTable marginal = marginalizer.marginalize(table, vars);
+      const MarginalTable marginal = marginalize(table, vars, {}, pool);
       ASSERT_EQ(marginal.total(), expected.total());
       for (std::uint64_t cell = 0; cell < expected.cell_count(); ++cell) {
         ASSERT_EQ(marginal.count_at(cell), expected.count_at(cell));
@@ -622,13 +622,13 @@ TEST(LearnFaults, ArmedLearnPointsAbortTheLearnWithTypedErrors) {
   build_options.threads = 2;
   const PotentialTable table = WaitFreeBuilder(build_options).build(data);
   ChengOptions options;
-  options.ci.threads = 2;
+  ThreadPool pool(2);
 
   for (const fault::Point point :
        {fault::Point::kLearnCiTest, fault::Point::kLearnSchedule}) {
     fault::ScopedFaultInjection injection;
     fault::arm(point, 1);
-    EXPECT_THROW((void)ChengLearner(options).learn(table), InjectedFault)
+    EXPECT_THROW((void)ChengLearner(options, pool).learn(table), InjectedFault)
         << fault::point_name(point);
     EXPECT_GE(fault::hits(point), 1u) << fault::point_name(point);
   }
@@ -641,15 +641,16 @@ TEST(LearnFaults, RandomSchedulesYieldTypedErrorOrBitIdenticalStructure) {
   // contract: either a typed error surfaces — InjectedFault from a fired
   // point, mid-batch, between batches, anywhere — or the learn completes
   // with a structure bit-identical to the unfaulted reference. A fault may
-  // also degrade the learner-owned pool (spawn/pin points); determinism
-  // across pool widths means even a degraded run must match exactly.
+  // also degrade the per-run pool (spawn/pin points); determinism across
+  // pool widths means even a degraded run must match exactly.
   const Dataset data = generate_chain_correlated(8000, 6, 2, 0.8, 0xA1);
   WaitFreeBuilderOptions build_options;
   build_options.threads = 2;
   const PotentialTable table = WaitFreeBuilder(build_options).build(data);
   ChengOptions options;
-  options.ci.threads = 3;
-  const ChengResult reference = ChengLearner(options).learn(table);
+  ThreadPool reference_pool(3);
+  const ChengResult reference =
+      ChengLearner(options, reference_pool).learn(table);
 
   int completed = 0;
   int faulted = 0;
@@ -658,7 +659,8 @@ TEST(LearnFaults, RandomSchedulesYieldTypedErrorOrBitIdenticalStructure) {
     const std::string schedule = fault::arm_random_schedule(seed);
     SCOPED_TRACE("seed " + std::to_string(seed) + ": " + schedule);
     try {
-      const ChengResult result = ChengLearner(options).learn(table);
+      ThreadPool pool(3);
+      const ChengResult result = ChengLearner(options, pool).learn(table);
       EXPECT_EQ(result.skeleton.edges(), reference.skeleton.edges());
       EXPECT_EQ(result.oriented.edges(), reference.oriented.edges());
       EXPECT_EQ(result.sepsets, reference.sepsets);

@@ -80,8 +80,8 @@ TEST(Fuzz, PipelineInvariantsHoldForRandomConfigurations) {
       const std::size_t v = static_cast<std::size_t>(pick.bounded(n));
       if (std::find(vars.begin(), vars.end(), v) == vars.end()) vars.push_back(v);
     }
-    const Marginalizer marginalizer(1 + pick.bounded(6));
-    const MarginalTable marginal = marginalizer.marginalize(table, vars);
+    ThreadPool pool(1 + pick.bounded(6));
+    const MarginalTable marginal = marginalize(table, vars, {}, pool);
     ASSERT_EQ(marginal.total(), config.samples);
 
     std::vector<std::uint64_t> brute(marginal.cell_count(), 0);
@@ -102,7 +102,7 @@ TEST(Fuzz, PipelineInvariantsHoldForRandomConfigurations) {
       const MiMatrix mi = all_pairs.compute(table);
       for (std::size_t i = 0; i < n; ++i) {
         const std::size_t iv[] = {i};
-        const double h_i = entropy(marginalizer.marginalize(table, iv));
+        const double h_i = entropy(marginalize(table, iv, {}, pool));
         for (std::size_t j = 0; j < n; ++j) {
           ASSERT_DOUBLE_EQ(mi.at(i, j), mi.at(j, i));
           ASSERT_GE(mi.at(i, j), 0.0);
@@ -114,7 +114,8 @@ TEST(Fuzz, PipelineInvariantsHoldForRandomConfigurations) {
     }
 
     // ---- queries normalize.
-    const QueryEngine engine(table, 1 + pick.bounded(4));
+    ThreadPool query_pool(1 + pick.bounded(4));
+    const QueryEngine engine(table, query_pool);
     const std::vector<double> p = engine.marginal(vars);
     const double total = std::accumulate(p.begin(), p.end(), 0.0);
     ASSERT_NEAR(total, 1.0, 1e-9);

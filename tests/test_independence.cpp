@@ -22,9 +22,7 @@ PotentialTable build(const Dataset& data) {
 TEST(CiTester, DetectsMarginalDependenceOnChainData) {
   const Dataset data = generate_chain_correlated(30000, 4, 2, 0.9, 61);
   const PotentialTable table = build(data);
-  CiOptions options;
-  options.threads = 2;
-  const CiTester tester(table, options);
+  const CiTester tester(table, CiOptions{});
   EXPECT_FALSE(tester.test(0, 1, {}).independent);
   EXPECT_FALSE(tester.test(0, 3, {}).independent);  // transitively dependent
   EXPECT_GT(tester.pair_mi(0, 1), tester.pair_mi(0, 3));
@@ -101,7 +99,7 @@ TEST(CiTester, ValidatesArguments) {
   EXPECT_THROW((void)tester.test(0, 0, {}), PreconditionError);
   EXPECT_THROW((void)tester.test(0, 1, z_with_x), PreconditionError);
   CiOptions bad;
-  bad.threads = 0;
+  bad.mi_threshold = -0.1;
   EXPECT_THROW(CiTester(table, bad), PreconditionError);
   CiOptions bad_alpha;
   bad_alpha.alpha = 1.5;

@@ -232,7 +232,8 @@ TEST(VariableElimination, AgreesWithDataEstimates) {
   options.threads = 4;
   WaitFreeBuilder builder(options);
   const PotentialTable table = builder.build(data);
-  const QueryEngine engine(table, 4);
+  ThreadPool pool(4);
+  const QueryEngine engine(table, pool);
 
   const NodeId lung = asia.node_by_name("lung");
   const NodeId smoke = asia.node_by_name("smoke");

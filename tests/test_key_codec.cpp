@@ -1,11 +1,13 @@
 // Unit + property tests for the mixed-radix key codec (paper Eq. 3/4) and
-// the KeyProjector used by the marginalization primitive.
+// the key projector (KeyProjector / WideKeyProjector) used by the
+// marginalization primitive.
 #include <gtest/gtest.h>
 
 #include <numeric>
 #include <vector>
 
 #include "table/key_codec.hpp"
+#include "table/key_projector.hpp"
 #include "table/key_traits.hpp"
 #include "table/wide_key_codec.hpp"
 #include "util/error.hpp"

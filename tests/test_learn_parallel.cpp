@@ -1,13 +1,16 @@
 // Tests for the re-platformed learner layer: KeyTraits-templated learners
 // (narrow/wide parity), the parallel CI scheduler (P=1 ≡ P=8 bit-identity),
-// the marginal-reuse cache (on/off bit-identity, hits observed), cooperative
-// cancellation, and ServeEngine::learn_structure against a live store.
+// the marginal-reuse cache (cached decisions = directly swept ones, hits
+// observed), cooperative cancellation, and ServeEngine::learn_structure
+// against a live store.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <utility>
 #include <vector>
 
+#include "core/marginalizer.hpp"
 #include "core/wait_free_builder.hpp"
 #include "data/generators.hpp"
 #include "learn/cheng.hpp"
@@ -54,11 +57,11 @@ BasicPotentialTable<K> build_table(const Dataset& data) {
 TEST(LearnParity, ChengNarrowAndWideAgreeExactly) {
   const Dataset data = chain_data();
   ChengOptions options;
-  options.ci.threads = 4;
+  ThreadPool pool(4);
   const ChengResult narrow =
-      ChengLearner(options).learn(build_table<Key>(data));
+      ChengLearner(options, pool).learn(build_table<Key>(data));
   const ChengResult wide =
-      WideChengLearner(options).learn(build_table<WideKey>(data));
+      WideChengLearner(options, pool).learn(build_table<WideKey>(data));
   EXPECT_EQ(undirected_edges(narrow.skeleton), undirected_edges(wide.skeleton));
   EXPECT_EQ(directed_edges(narrow.oriented), directed_edges(wide.oriented));
   EXPECT_EQ(narrow.sepsets, wide.sepsets);
@@ -68,12 +71,12 @@ TEST(LearnParity, ChengNarrowAndWideAgreeExactly) {
 TEST(LearnParity, PcStableNarrowAndWideAgreeExactly) {
   const Dataset data = chain_data();
   PcStableOptions options;
-  options.ci.threads = 4;
+  ThreadPool pool(4);
   options.max_level = 2;
   const PcStableResult narrow =
-      PcStableLearner(options).learn(build_table<Key>(data));
+      PcStableLearner(options, pool).learn(build_table<Key>(data));
   const PcStableResult wide =
-      WidePcStableLearner(options).learn(build_table<WideKey>(data));
+      WidePcStableLearner(options, pool).learn(build_table<WideKey>(data));
   EXPECT_EQ(undirected_edges(narrow.skeleton), undirected_edges(wide.skeleton));
   EXPECT_EQ(directed_edges(narrow.oriented), directed_edges(wide.oriented));
   EXPECT_EQ(narrow.sepsets, wide.sepsets);
@@ -108,11 +111,11 @@ TEST(LearnScheduling, ChengIsBitIdenticalAcrossPoolWidths) {
   const Dataset data = chain_data();
   const PotentialTable table = build_table<Key>(data);
   ChengOptions p1;
-  p1.ci.threads = 1;
+  ThreadPool p1_pool(1);
   ChengOptions p8 = p1;
-  p8.ci.threads = 8;
-  const ChengResult serial = ChengLearner(p1).learn(table);
-  const ChengResult parallel = ChengLearner(p8).learn(table);
+  ThreadPool p8_pool(8);
+  const ChengResult serial = ChengLearner(p1, p1_pool).learn(table);
+  const ChengResult parallel = ChengLearner(p8, p8_pool).learn(table);
   EXPECT_EQ(undirected_edges(serial.skeleton),
             undirected_edges(parallel.skeleton));
   EXPECT_EQ(directed_edges(serial.oriented), directed_edges(parallel.oriented));
@@ -127,12 +130,12 @@ TEST(LearnScheduling, PcStableIsBitIdenticalAcrossPoolWidths) {
   const Dataset data = chain_data();
   const PotentialTable table = build_table<Key>(data);
   PcStableOptions p1;
-  p1.ci.threads = 1;
+  ThreadPool p1_pool(1);
   p1.max_level = 2;
   PcStableOptions p8 = p1;
-  p8.ci.threads = 8;
-  const PcStableResult serial = PcStableLearner(p1).learn(table);
-  const PcStableResult parallel = PcStableLearner(p8).learn(table);
+  ThreadPool p8_pool(8);
+  const PcStableResult serial = PcStableLearner(p1, p1_pool).learn(table);
+  const PcStableResult parallel = PcStableLearner(p8, p8_pool).learn(table);
   EXPECT_EQ(undirected_edges(serial.skeleton),
             undirected_edges(parallel.skeleton));
   EXPECT_EQ(directed_edges(serial.oriented), directed_edges(parallel.oriented));
@@ -144,7 +147,6 @@ TEST(LearnScheduling, BorrowedPoolMatchesOwnedPool) {
   const Dataset data = chain_data();
   const PotentialTable table = build_table<Key>(data);
   ChengOptions options;
-  options.ci.threads = 4;
   const ChengResult owned = ChengLearner(options).learn(table);
   ThreadPool pool(4);
   const ChengResult borrowed = ChengLearner(options, pool).learn(table);
@@ -182,48 +184,72 @@ TEST(LearnScheduling, SchedulerRunAnswersEveryTaskInSlotOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// Marginal-reuse cache: hit/miss accounting and bit-identity on vs off.
+// Marginal-reuse cache: hit/miss accounting, and cached decisions
+// bit-identical to decisions computed from a directly swept marginal.
+
+/// The decision for X ⟂ Y | Z from a fresh sweep of the marginalization
+/// kernel — no cache involved.
+CiDecision direct_decision(const PotentialTable& table, std::size_t x,
+                           std::size_t y, const std::vector<std::size_t>& z,
+                           const CiOptions& options) {
+  std::vector<std::size_t> vars{x, y};
+  vars.insert(vars.end(), z.begin(), z.end());
+  std::sort(vars.begin(), vars.end());
+  return decide_from_joint(marginalize(table, vars), x, y, options);
+}
 
 TEST(MarginalReuse, CacheOnAndOffAreBitIdentical) {
   const Dataset data = chain_data();
   const PotentialTable table = build_table<Key>(data);
-  ChengOptions on;
-  on.ci.threads = 4;
-  on.ci.reuse_marginals = true;
-  ChengOptions off = on;
-  off.ci.reuse_marginals = false;
-  const ChengResult with_cache = ChengLearner(on).learn(table);
-  const ChengResult without_cache = ChengLearner(off).learn(table);
-  EXPECT_EQ(undirected_edges(with_cache.skeleton),
-            undirected_edges(without_cache.skeleton));
-  EXPECT_EQ(directed_edges(with_cache.oriented),
-            directed_edges(without_cache.oriented));
-  EXPECT_EQ(with_cache.sepsets, without_cache.sepsets);
-  EXPECT_EQ(with_cache.ci_tests, without_cache.ci_tests);
-  EXPECT_EQ(without_cache.schedule.cache_hits, 0u);
-  EXPECT_EQ(without_cache.schedule.cache_misses, 0u);
+  ChengOptions options;
+  ThreadPool pool(4);
+  const ChengResult learned = ChengLearner(options, pool).learn(table);
+  EXPECT_GT(learned.schedule.cache_misses, 0u);  // tests went through it
+
+  // Every separation the learner found by a CI test (pairs whose MI cleared
+  // ε) must hold, with the same statistic bits, on a directly swept joint.
+  const CiTester cached(table, options.ci);
+  std::size_t checked = 0;
+  for (const auto& [pair, z] : learned.sepsets) {
+    if (learned.mi.at(pair.first, pair.second) <= options.ci.mi_threshold) {
+      continue;
+    }
+    const CiDecision direct =
+        direct_decision(table, pair.first, pair.second, z, options.ci);
+    const CiDecision via_cache = cached.test(pair.first, pair.second, z);
+    EXPECT_TRUE(direct.independent) << pair.first << "," << pair.second;
+    EXPECT_EQ(via_cache.independent, direct.independent);
+    EXPECT_EQ(via_cache.statistic, direct.statistic);
+    ++checked;
+  }
+  EXPECT_GT(checked, 0u);
 }
 
 TEST(MarginalReuse, TesterStatisticsAreBitIdenticalAcrossCacheModes) {
   const Dataset data = chain_data();
   const PotentialTable table = build_table<Key>(data);
-  CiOptions on;
-  on.reuse_marginals = true;
-  CiOptions off;
-  off.reuse_marginals = false;
-  const CiTester cached(table, on);
-  const CiTester uncached(table, off);
-  const std::vector<std::size_t> z{2};
-  // Twice through the cached tester: miss then hit, same bits every time.
-  const CiDecision first = cached.test(1, 3, z);
-  const CiDecision second = cached.test(1, 3, z);
-  const CiDecision reference = uncached.test(1, 3, z);
-  EXPECT_EQ(first.statistic, second.statistic);
-  EXPECT_EQ(first.statistic, reference.statistic);
-  EXPECT_EQ(first.independent, reference.independent);
-  ASSERT_NE(cached.cache(), nullptr);
-  EXPECT_EQ(cached.cache()->stats().hits, 1u);
-  EXPECT_EQ(uncached.cache(), nullptr);
+  for (const CiMethod method : {CiMethod::kMiThreshold, CiMethod::kGTest}) {
+    CiOptions options;
+    options.method = method;
+    const CiTester cached(table, options);
+    const std::vector<std::size_t> z{2};
+    // Twice through the cached tester: miss then hit, same bits every time,
+    // and the same bits as a direct sweep inline and across a pool.
+    const CiDecision first = cached.test(1, 3, z);
+    const CiDecision second = cached.test(1, 3, z);
+    const CiDecision reference = direct_decision(table, 1, 3, z, options);
+    ThreadPool pool(3);
+    const std::size_t vars[] = {1, 2, 3};
+    const CiDecision pooled =
+        decide_from_joint(marginalize(table, vars, {}, pool), 1, 3, options);
+    EXPECT_EQ(first.statistic, second.statistic);
+    EXPECT_EQ(first.statistic, reference.statistic);
+    EXPECT_EQ(first.statistic, pooled.statistic);
+    EXPECT_EQ(first.p_value, reference.p_value);
+    EXPECT_EQ(first.independent, reference.independent);
+    EXPECT_EQ(cached.cache().stats().hits, 1u);
+    EXPECT_EQ(cached.cache().stats().misses, 1u);
+  }
 }
 
 TEST(MarginalReuse, SymmetricTestsShareOneMarginalization) {
@@ -232,17 +258,17 @@ TEST(MarginalReuse, SymmetricTestsShareOneMarginalization) {
   const CiTester tester(table, CiOptions{});
   (void)tester.test(1, 2, {});
   (void)tester.test(2, 1, {});  // canonical {1,2} — must hit
-  EXPECT_EQ(tester.cache()->stats().misses, 1u);
-  EXPECT_EQ(tester.cache()->stats().hits, 1u);
+  EXPECT_EQ(tester.cache().stats().misses, 1u);
+  EXPECT_EQ(tester.cache().stats().hits, 1u);
 }
 
 TEST(MarginalReuse, PcStableLevelsReuseMarginalsAcrossDirections) {
   const Dataset data = chain_data();
   const PotentialTable table = build_table<Key>(data);
   PcStableOptions options;
-  options.ci.threads = 4;
+  ThreadPool pool(4);
   options.max_level = 2;
-  const PcStableResult result = PcStableLearner(options).learn(table);
+  const PcStableResult result = PcStableLearner(options, pool).learn(table);
   // Level 0 alone tests both directions of every pair over the same
   // canonical {x, y} marginal, so reuse is guaranteed.
   EXPECT_GT(result.schedule.cache_hits, 0u);
@@ -258,9 +284,10 @@ TEST(LearnCancellation, PreSetTokenCancelsChengCleanly) {
   const PotentialTable table = build_table<Key>(data);
   std::atomic<bool> cancel{true};
   ChengOptions options;
-  options.ci.threads = 4;
+  ThreadPool pool(4);
   options.ci.cancel = &cancel;
-  EXPECT_THROW((void)ChengLearner(options).learn(table), OperationCancelled);
+  EXPECT_THROW((void)ChengLearner(options, pool).learn(table),
+               OperationCancelled);
 }
 
 TEST(LearnCancellation, PreSetTokenCancelsPcStableCleanly) {
@@ -268,9 +295,9 @@ TEST(LearnCancellation, PreSetTokenCancelsPcStableCleanly) {
   const PotentialTable table = build_table<Key>(data);
   std::atomic<bool> cancel{true};
   PcStableOptions options;
-  options.ci.threads = 2;
+  ThreadPool pool(2);
   options.ci.cancel = &cancel;
-  EXPECT_THROW((void)PcStableLearner(options).learn(table),
+  EXPECT_THROW((void)PcStableLearner(options, pool).learn(table),
                OperationCancelled);
 }
 
@@ -292,8 +319,9 @@ TEST(ServeLearn, LearnStructureAnswersFromPinnedVersion) {
   EXPECT_GT(learned.ci_tests, 0u);
   // Direct learner on the same table must agree exactly.
   ChengOptions options;
-  options.ci.threads = 4;
-  const ChengResult direct = ChengLearner(options).learn(build_table<Key>(data));
+  ThreadPool pool(4);
+  const ChengResult direct =
+      ChengLearner(options, pool).learn(build_table<Key>(data));
   ASSERT_EQ(learned.skeleton_edges.size(),
             undirected_edges(direct.skeleton).size());
   ASSERT_EQ(learned.directed_edges.size(),

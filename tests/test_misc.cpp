@@ -54,9 +54,9 @@ TEST(BuildStats, CriticalPathAndAggregates) {
 TEST(Cheng, OrientationCanBeDisabled) {
   const Dataset data = generate_chain_correlated(20000, 4, 2, 0.8, 703);
   ChengOptions options;
-  options.ci.threads = 2;
+  ThreadPool pool(2);
   options.orient = false;
-  const ChengResult result = ChengLearner(options).learn(data);
+  const ChengResult result = ChengLearner(options, pool).learn(data);
   // Fallback orientation: every edge low → high.
   for (const Edge& e : result.oriented.edges()) {
     EXPECT_LT(e.from, e.to);
@@ -67,9 +67,9 @@ TEST(Cheng, OrientationCanBeDisabled) {
 TEST(PcStable, OrientationCanBeDisabled) {
   const Dataset data = generate_chain_correlated(20000, 4, 2, 0.8, 704);
   PcStableOptions options;
-  options.ci.threads = 2;
+  ThreadPool pool(2);
   options.orient = false;
-  const PcStableResult result = PcStableLearner(options).learn(data);
+  const PcStableResult result = PcStableLearner(options, pool).learn(data);
   for (const Edge& e : result.oriented.edges()) {
     EXPECT_LT(e.from, e.to);
   }

@@ -788,7 +788,7 @@ struct ServerFixture {
 TEST(ServeServer, QueriesMatchDirectEngineBitForBit) {
   ServerFixture fx;
   ServeClient client(fx.client_options());
-  const QueryEngine reference(fx.store.current()->table(), 1);
+  const QueryEngine reference(fx.store.current()->table());
 
   {
     const std::vector<std::size_t> vars = {0, 3};
@@ -835,7 +835,7 @@ TEST(ServeServer, IngestPublishesAndQueriesSeeNewVersion) {
   EXPECT_EQ(query.version, 2u);
   EXPECT_TRUE(bytes_equal(
       query.values,
-      QueryEngine(fx.store.current()->table(), 1).marginal(vars)));
+      QueryEngine(fx.store.current()->table()).marginal(vars)));
 }
 
 TEST(ServeServer, PipelinedRequestsAllAnswered) {
@@ -893,6 +893,34 @@ TEST(ServeServer, WidthMismatchIsBadRequestNotDisconnect) {
   // Same connection still serves.
   const Response ok = client.call(marginal_request(2, {0}));
   EXPECT_EQ(ok.status, Status::kOk);
+}
+
+TEST(ServeServer, OversizedQueryIsAnErrorConnectionSurvives) {
+  // MARGINAL over all 25 binary variables asks for a 2^25-cell answer, past
+  // the serving cap: the server answers with an error status, allocates
+  // nothing for it, and keeps serving the same connection.
+  const Dataset data = generate_uniform(500, 25, 2, 0xE3);
+  serve::TableStore store(build(data, 2));
+  serve::ServeEngine engine(store);
+  ThreadPool pool(2);
+  ServeServer server(engine, pool, ServerOptions{});
+  server.start();
+  ClientOptions options;
+  options.port = server.port();
+  ServeClient client(options);
+
+  std::vector<std::size_t> all(25);
+  for (std::size_t v = 0; v < all.size(); ++v) all[v] = v;
+  const Response refused = client.call(marginal_request(1, all));
+  EXPECT_EQ(refused.status, Status::kError);
+  EXPECT_NE(refused.error.find("cell cap"), std::string::npos) << refused.error;
+
+  const std::vector<std::size_t> pair = {3, 17};
+  const Response ok = client.call(marginal_request(2, pair));
+  ASSERT_EQ(ok.status, Status::kOk) << ok.error;
+  EXPECT_EQ(ok.id, 2u);
+  EXPECT_TRUE(bytes_equal(
+      ok.values, QueryEngine(store.current()->table()).marginal(pair)));
 }
 
 TEST(ServeServer, MalformedPayloadIsBadRequestConnectionSurvives) {
@@ -976,7 +1004,7 @@ TEST(WideServeServer, EndToEndAtWideKeys) {
   ASSERT_EQ(marginal.status, Status::kOk) << marginal.error;
   EXPECT_TRUE(bytes_equal(
       marginal.values,
-      WideQueryEngine(store.current()->table(), 1).marginal(vars)));
+      WideQueryEngine(store.current()->table()).marginal(vars)));
 
   const Response mi = client.call(pair_mi_request(2, 0, 99, KeyWidth::kWide));
   ASSERT_EQ(mi.status, Status::kOk) << mi.error;

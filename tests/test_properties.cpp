@@ -44,7 +44,8 @@ TEST_P(PipelineProperty, QueryEngineMatchesBruteForceConditional) {
   options.threads = 4;
   WaitFreeBuilder builder(options);
   const PotentialTable table = builder.build(data);
-  const QueryEngine engine(table, 4);
+  ThreadPool pool(4);
+  const QueryEngine engine(table, pool);
 
   Xoshiro256 rng(202);
   for (int trial = 0; trial < 10; ++trial) {
@@ -92,13 +93,13 @@ TEST_P(PipelineProperty, MarginalizationCommutesWithSumOut) {
   options.threads = 4;
   WaitFreeBuilder builder(options);
   const PotentialTable table = builder.build(data);
-  const Marginalizer marginalizer(3);
+  ThreadPool pool(3);
 
   const std::size_t big[] = {0, shape.n / 2, shape.n - 1};
   const std::size_t small[] = {0, shape.n - 1};
-  const MarginalTable direct = marginalizer.marginalize(table, small);
+  const MarginalTable direct = marginalize(table, small, {}, pool);
   const MarginalTable via_big =
-      marginalizer.marginalize(table, big).sum_out_to(small);
+      marginalize(table, big, {}, pool).sum_out_to(small);
   ASSERT_EQ(direct.cell_count(), via_big.cell_count());
   for (std::uint64_t cell = 0; cell < direct.cell_count(); ++cell) {
     EXPECT_EQ(direct.count_at(cell), via_big.count_at(cell));
@@ -115,16 +116,16 @@ TEST_P(PipelineProperty, EntropyDecomposesMutualInformation) {
   options.threads = 2;
   WaitFreeBuilder builder(options);
   const PotentialTable table = builder.build(data);
-  const Marginalizer marginalizer(2);
+  ThreadPool pool(2);
 
   const std::size_t x = 0;
   const std::size_t y = shape.n - 1;
   const std::size_t xv[] = {x};
   const std::size_t yv[] = {y};
   const std::size_t xy[] = {x, y};
-  const MarginalTable joint = marginalizer.marginalize(table, xy);
-  const double h_x = entropy(marginalizer.marginalize(table, xv));
-  const double h_y = entropy(marginalizer.marginalize(table, yv));
+  const MarginalTable joint = marginalize(table, xy, {}, pool);
+  const double h_x = entropy(marginalize(table, xv, {}, pool));
+  const double h_y = entropy(marginalize(table, yv, {}, pool));
   EXPECT_NEAR(mutual_information(joint), h_x + h_y - entropy(joint), 1e-10);
 }
 

@@ -37,7 +37,8 @@ Dataset tiny_dataset() {
 
 TEST(QueryEngine, MarginalMatchesHandCounts) {
   const PotentialTable table = build(tiny_dataset(), 2);
-  const QueryEngine engine(table, 2);
+  ThreadPool pool(2);
+  const QueryEngine engine(table, pool);
   const std::size_t v0[] = {0};
   const std::vector<double> p0 = engine.marginal(v0);
   EXPECT_NEAR(p0[0], 0.5, 1e-12);  // X0 = 0: 4 + 1 = 5 of 10
@@ -50,7 +51,7 @@ TEST(QueryEngine, MarginalMatchesHandCounts) {
 
 TEST(QueryEngine, JointMarginalLayout) {
   const PotentialTable table = build(tiny_dataset(), 2);
-  const QueryEngine engine(table, 1);
+  const QueryEngine engine(table);
   const std::size_t vars[] = {0, 1};
   const std::vector<double> joint = engine.marginal(vars);
   ASSERT_EQ(joint.size(), 4u);
@@ -62,7 +63,8 @@ TEST(QueryEngine, JointMarginalLayout) {
 
 TEST(QueryEngine, ConditionalMatchesBayesRule) {
   const PotentialTable table = build(tiny_dataset(), 2);
-  const QueryEngine engine(table, 2);
+  ThreadPool pool(2);
+  const QueryEngine engine(table, pool);
   const std::size_t vars[] = {0};
   const Evidence e[] = {{1, 0}};  // X1 = 0
   const std::vector<double> p = engine.conditional(vars, e);
@@ -73,7 +75,8 @@ TEST(QueryEngine, ConditionalMatchesBayesRule) {
 
 TEST(QueryEngine, EvidenceProbability) {
   const PotentialTable table = build(tiny_dataset(), 2);
-  const QueryEngine engine(table, 2);
+  ThreadPool pool(2);
+  const QueryEngine engine(table, pool);
   const Evidence e1[] = {{1, 1}};
   EXPECT_NEAR(engine.evidence_probability(e1), 0.4, 1e-12);
   const Evidence e2[] = {{0, 1}, {1, 1}};
@@ -82,7 +85,8 @@ TEST(QueryEngine, EvidenceProbability) {
 
 TEST(QueryEngine, MostProbableState) {
   const PotentialTable table = build(tiny_dataset(), 2);
-  const QueryEngine engine(table, 2);
+  ThreadPool pool(2);
+  const QueryEngine engine(table, pool);
   const std::size_t vars[] = {0, 1};
   const QueryEngine::MapResult map = engine.most_probable(vars);
   EXPECT_EQ(map.states, (std::vector<State>{0, 0}));
@@ -95,13 +99,14 @@ TEST(QueryEngine, MostProbableState) {
 }
 
 TEST(QueryEngine, BorrowedPoolAndInlinePathsMatchOwnedPool) {
-  // The serving layer relies on all three evaluation modes — inline
-  // (threads == 1), transient owned pool, and borrowed pool — producing
-  // bit-identical distributions.
+  // The serving layer relies on every evaluation mode — inline, a
+  // one-worker pool, and a pool narrower than the table's partitions —
+  // producing bit-identical distributions.
   const Dataset data = generate_chain_correlated(5000, 8, 2, 0.8, 0x99);
   const PotentialTable table = build(data, 4);
-  const QueryEngine inline_engine(table, 1);
-  const QueryEngine owned(table, 3);
+  const QueryEngine inline_engine(table);
+  ThreadPool one(1);
+  const QueryEngine owned(table, one);
   ThreadPool pool(3);
   const QueryEngine borrowed(table, pool);
 
@@ -121,7 +126,7 @@ TEST(QueryEngine, ZeroSupportEvidenceThrows) {
   std::vector<State> cells = {0, 0, 0, 0};  // two rows of (0,0)
   const Dataset data(2, {2, 2}, std::move(cells));
   const PotentialTable table = build(data, 1);
-  const QueryEngine engine(table, 1);
+  const QueryEngine engine(table);
   const std::size_t vars[] = {0};
   const Evidence impossible[] = {{1, 1}};
   EXPECT_THROW((void)engine.conditional(vars, impossible), DataError);
@@ -130,7 +135,8 @@ TEST(QueryEngine, ZeroSupportEvidenceThrows) {
 
 TEST(QueryEngine, ValidatesArguments) {
   const PotentialTable table = build(tiny_dataset(), 2);
-  const QueryEngine engine(table, 2);
+  ThreadPool pool(2);
+  const QueryEngine engine(table, pool);
   const std::size_t vars[] = {0};
   const Evidence overlapping[] = {{0, 0}};
   EXPECT_THROW((void)engine.conditional(vars, overlapping), PreconditionError);
@@ -138,7 +144,8 @@ TEST(QueryEngine, ValidatesArguments) {
   EXPECT_THROW((void)engine.conditional(vars, bad_var), PreconditionError);
   const Evidence bad_state[] = {{1, 5}};
   EXPECT_THROW((void)engine.conditional(vars, bad_state), PreconditionError);
-  EXPECT_THROW(QueryEngine(table, 0), PreconditionError);
+  const std::size_t duplicate[] = {0, 0};
+  EXPECT_THROW((void)engine.marginal(duplicate), PreconditionError);
 }
 
 TEST(QueryEngine, ThreadCountDoesNotChangeAnswers) {
@@ -146,8 +153,9 @@ TEST(QueryEngine, ThreadCountDoesNotChangeAnswers) {
   const PotentialTable table = build(data);
   const std::size_t vars[] = {2, 5};
   const Evidence e[] = {{0, 1}, {7, 0}};
-  const std::vector<double> p1 = QueryEngine(table, 1).conditional(vars, e);
-  const std::vector<double> p8 = QueryEngine(table, 8).conditional(vars, e);
+  const std::vector<double> p1 = QueryEngine(table).conditional(vars, e);
+  ThreadPool pool(8);
+  const std::vector<double> p8 = QueryEngine(table, pool).conditional(vars, e);
   ASSERT_EQ(p1.size(), p8.size());
   for (std::size_t c = 0; c < p1.size(); ++c) {
     EXPECT_DOUBLE_EQ(p1[c], p8[c]);
@@ -160,7 +168,8 @@ TEST(QueryEngine, AgreesWithNetworkPosteriorOnAsia) {
   const BayesianNetwork asia = load_network(RepositoryNetwork::kAsia);
   const Dataset data = forward_sample(asia, 300000, 122, 4);
   const PotentialTable table = build(data);
-  const QueryEngine engine(table, 4);
+  ThreadPool pool(4);
+  const QueryEngine engine(table, pool);
 
   const NodeId S = asia.node_by_name("smoke");
   const NodeId D = asia.node_by_name("dysp");

@@ -51,7 +51,8 @@ TEST(FamilyScorer, ParentHurtsScoreOfIndependentChild) {
 TEST(FamilyScorer, CacheAvoidsRecomputation) {
   const Dataset data = generate_uniform(5000, 4, 2, 503);
   const PotentialTable table = build(data);
-  const FamilyScorer scorer(table, 2);
+  ThreadPool pool(2);
+  const FamilyScorer scorer(table, pool);
   const double first = scorer.family_score(2, {0, 3});
   const double second = scorer.family_score(2, {3, 0});  // same set, reordered
   EXPECT_DOUBLE_EQ(first, second);
@@ -62,7 +63,8 @@ TEST(FamilyScorer, CacheAvoidsRecomputation) {
 TEST(FamilyScorer, TotalScoreDecomposes) {
   const Dataset data = generate_chain_correlated(20000, 4, 2, 0.8, 504);
   const PotentialTable table = build(data);
-  const FamilyScorer scorer(table, 2);
+  ThreadPool pool(2);
+  const FamilyScorer scorer(table, pool);
   Dag chain(4);
   chain.add_edge(0, 1);
   chain.add_edge(1, 2);
@@ -78,7 +80,8 @@ TEST(FamilyScorer, TrueStructureOutscoresAlternatives) {
   const BayesianNetwork truth = load_network(RepositoryNetwork::kCancer);
   const Dataset data = forward_sample(truth, 150000, 505, 4);
   const PotentialTable table = build(data);
-  const FamilyScorer scorer(table, 4);
+  ThreadPool pool(4);
+  const FamilyScorer scorer(table, pool);
 
   const double true_score = scorer.total_score(truth.dag());
   EXPECT_GT(true_score, scorer.total_score(Dag(5)));  // vs empty
@@ -111,6 +114,16 @@ TEST(HillClimb, RecoversChainSkeleton) {
   EXPECT_DOUBLE_EQ(m.f1, 1.0) << "precision=" << m.precision
                               << " recall=" << m.recall;
   EXPECT_GT(result.moves, 0u);
+
+  // Scoring inline (threads = 1, no pool) reaches the same DAG with the
+  // same score bits: family counts are exact whichever way they are swept.
+  HillClimbOptions inline_options = options;
+  inline_options.threads = 1;
+  const HillClimbResult serial = hill_climb(table, inline_options);
+  EXPECT_EQ(serial.dag.edges(), result.dag.edges());
+  EXPECT_EQ(serial.score, result.score);
+  EXPECT_EQ(serial.moves, result.moves);
+  EXPECT_EQ(serial.families_evaluated, result.families_evaluated);
 }
 
 TEST(HillClimb, EmptyGraphOnIndependentData) {
@@ -128,7 +141,8 @@ TEST(HillClimb, ScoreNeverDecreasesAndBeatsEmpty) {
   HillClimbOptions options;
   options.threads = 4;
   const HillClimbResult result = hill_climb(table, options);
-  const FamilyScorer scorer(table, 4);
+  ThreadPool pool(4);
+  const FamilyScorer scorer(table, pool);
   EXPECT_GT(result.score, scorer.total_score(Dag(truth.node_count())));
   EXPECT_NEAR(result.score, scorer.total_score(result.dag), 1e-9);
 }
@@ -145,6 +159,13 @@ TEST(HillClimb, SparseCandidatesPruneWithoutQualityLoss) {
   HillClimbOptions pruned_options;
   pruned_options.threads = 4;
   const HillClimbResult pruned = hill_climb_sparse(data, 3, pruned_options);
+  // One pool per call carries the build, the MI sweep and the scorer; the
+  // serial call (no scorer pool) must land on the same DAG and score bits.
+  pruned_options.threads = 1;
+  const HillClimbResult pruned_serial =
+      hill_climb_sparse(data, 3, pruned_options);
+  EXPECT_EQ(pruned_serial.dag.edges(), pruned.dag.edges());
+  EXPECT_EQ(pruned_serial.score, pruned.score);
 
   // Pruning evaluates fewer families but lands on an equally good skeleton.
   EXPECT_LE(pruned.families_evaluated, full.families_evaluated);

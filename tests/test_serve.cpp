@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/info_theory.hpp"
+#include "core/marginalizer.hpp"
 #include "core/query.hpp"
 #include "core/wait_free_builder.hpp"
 #include "data/generators.hpp"
@@ -191,7 +192,7 @@ TEST(ServeEngine, CachedAnswersMatchUncachedQueryEngine) {
   const Dataset data = generate_chain_correlated(6000, 8, 2, 0.8, 0x71);
   TableStore store(build(data));
   ServeEngine engine(store);
-  const QueryEngine reference(store.current()->table(), 1);
+  const QueryEngine reference(store.current()->table());
 
   const std::vector<std::vector<std::size_t>> marginals = {
       {0}, {3}, {0, 1}, {2, 5}, {0, 1, 2}};
@@ -215,7 +216,7 @@ TEST(ServeEngine, CachedAnswersMatchUncachedQueryEngine) {
     ASSERT_EQ(mi.values.size(), 1u);
     const std::size_t pair[] = {0, 1};
     const double expected_mi = mutual_information(
-        store.current()->table().marginalize_sequential(pair));
+        marginalize(store.current()->table(), pair));
     EXPECT_EQ(mi.values[0], expected_mi);
   }
 
@@ -244,7 +245,7 @@ TEST(ServeEngine, PublishInvalidatesAndRecomputesAgainstNewVersion) {
   const ServeResult after = engine.marginal(vars);
   EXPECT_EQ(after.version, 2u);
   EXPECT_FALSE(after.cache_hit);  // version bump ⇒ the old entry cannot serve
-  const QueryEngine reference(store.current()->table(), 1);
+  const QueryEngine reference(store.current()->table());
   EXPECT_TRUE(bytes_equal(after.values, reference.marginal(vars)));
   // The distributions genuinely differ between versions for this workload.
   EXPECT_FALSE(bytes_equal(before.values, after.values));
@@ -268,7 +269,7 @@ TEST(ServeEngine, ServeBatchDispatchesMixedWorkloadAcrossPool) {
   const Dataset data = generate_chain_correlated(5000, 8, 2, 0.8, 0x74);
   TableStore store(build(data));
   ServeEngine engine(store);
-  const QueryEngine reference(store.current()->table(), 1);
+  const QueryEngine reference(store.current()->table());
 
   std::vector<ServeQuery> queries;
   queries.push_back({QueryKind::kMarginal, {0}, {}});
@@ -294,6 +295,37 @@ TEST(ServeEngine, ServeBatchDispatchesMixedWorkloadAcrossPool) {
   EXPECT_TRUE(bytes_equal(results[4].values, results[0].values));
   EXPECT_FALSE(results[5].ok);
   EXPECT_FALSE(results[5].error.empty());
+}
+
+TEST(ServeEngine, OversizedAnswerIsRefusedBeforeAllocation) {
+  // A marginal over all 25 binary variables would be a 2^25-cell (256 MiB)
+  // dense answer, past the 2^24-cell cap: it fails alone, before the kernel
+  // allocates anything, and nothing is cached.
+  const Dataset data = generate_uniform(500, 25, 2, 0x75);
+  TableStore store(build(data, 2));
+  ServeEngine engine(store);
+  std::vector<std::size_t> all(25);
+  for (std::size_t v = 0; v < all.size(); ++v) all[v] = v;
+
+  std::vector<ServeQuery> queries;
+  queries.push_back({QueryKind::kMarginal, all, {}});
+  queries.push_back({QueryKind::kMarginal, {0, 24}, {}});
+  ThreadPool pool(2);
+  const std::vector<ServeResult> results = engine.serve_batch(queries, pool);
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_FALSE(results[0].ok);
+  EXPECT_NE(results[0].error.find("cell cap"), std::string::npos)
+      << results[0].error;
+  EXPECT_TRUE(results[0].values.empty());
+  EXPECT_TRUE(results[1].ok) << results[1].error;
+  EXPECT_EQ(results[1].values.size(), 4u);
+  EXPECT_THROW((void)engine.marginal(all), PreconditionError);
+  // A wide but capped answer (2^20 cells) is still served.
+  const std::vector<std::size_t> twenty(all.begin(), all.begin() + 20);
+  const Evidence last[] = {{24, 1}};
+  EXPECT_EQ(engine.conditional(twenty, last).values.size(),
+            std::size_t{1} << 20);
+  EXPECT_EQ(engine.cache_stats().insertions, 2u);
 }
 
 // Contract 3a: an injected fault at the publish point aborts the ingest
@@ -327,7 +359,7 @@ TEST(ServeFaults, CacheInsertFaultDegradesToUncachedAnswer) {
   const Dataset data = generate_uniform(3000, 8, 2, 0x83);
   TableStore store(build(data));
   ServeEngine engine(store);
-  const QueryEngine reference(store.current()->table(), 1);
+  const QueryEngine reference(store.current()->table());
   const std::size_t vars[] = {0, 1};
 
   fault::ScopedFaultInjection injection;
@@ -395,7 +427,7 @@ TEST(ServeFaults, RandomFaultSchedulesThroughIngestPublishPath) {
     const ServeResult served = engine.marginal(vars);
     ASSERT_EQ(served.version, expected_version);
     ASSERT_TRUE(bytes_equal(served.values,
-                            QueryEngine(snap->table(), 1).marginal(vars)));
+                            QueryEngine(snap->table()).marginal(vars)));
   }
   EXPECT_GT(published, 0);
   EXPECT_GT(faulted, 0) << published << " published";
@@ -474,7 +506,7 @@ TEST(WideServeEngine, CachedWideAnswersMatchUncached) {
   const Dataset data = generate_chain_correlated(4000, 100, 2, 0.8, 0xB1);
   serve::WideTableStore store(wide_build(data));
   serve::WideServeEngine engine(store);
-  const WideQueryEngine reference(store.current()->table(), 1);
+  const WideQueryEngine reference(store.current()->table());
 
   const std::vector<std::vector<std::size_t>> marginals = {
       {0}, {50}, {99}, {0, 99}, {62, 63}};  // {62,63} spans the word boundary
@@ -499,7 +531,7 @@ TEST(WideServeEngine, CachedWideAnswersMatchUncached) {
     const std::size_t pair[] = {62, 63};
     EXPECT_EQ(mi.values[0],
               mutual_information(
-                  store.current()->table().marginalize_sequential(pair)));
+                  marginalize(store.current()->table(), pair)));
   }
 
   const CacheStats stats = engine.cache_stats();
@@ -528,7 +560,7 @@ TEST(WideServeEngine, PublishInvalidatesAndRecomputesWideAnswers) {
   const ServeResult after = engine.marginal(vars);
   EXPECT_EQ(after.version, 2u);
   EXPECT_FALSE(after.cache_hit);
-  const WideQueryEngine reference(store.current()->table(), 1);
+  const WideQueryEngine reference(store.current()->table());
   EXPECT_TRUE(bytes_equal(after.values, reference.marginal(vars)));
   EXPECT_TRUE(engine.marginal(vars).cache_hit);
 }

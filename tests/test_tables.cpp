@@ -4,6 +4,7 @@
 
 #include <map>
 
+#include "core/marginalizer.hpp"
 #include "table/dense_table.hpp"
 #include "table/marginal_table.hpp"
 #include "table/partitioned_table.hpp"
@@ -239,11 +240,11 @@ TEST(PotentialTable, CountsAndValidation) {
 TEST(PotentialTable, SequentialMarginalizationMatchesHandComputation) {
   const PotentialTable table = small_potential();
   const std::size_t keep0[] = {0};
-  const MarginalTable x0 = table.marginalize_sequential(keep0);
+  const MarginalTable x0 = marginalize(table, keep0);
   EXPECT_EQ(x0.count_at(0), 4u);  // (0,0)×3 + (0,1)×1
   EXPECT_EQ(x0.count_at(1), 2u);  // (1,2)×2
   const std::size_t keep1[] = {1};
-  const MarginalTable x1 = table.marginalize_sequential(keep1);
+  const MarginalTable x1 = marginalize(table, keep1);
   EXPECT_EQ(x1.count_at(0), 3u);
   EXPECT_EQ(x1.count_at(1), 1u);
   EXPECT_EQ(x1.count_at(2), 2u);
