@@ -197,6 +197,41 @@ void BM_MarginalizePair(benchmark::State& state) {
 }
 BENCHMARK(BM_MarginalizePair)->Arg(1)->Arg(4);
 
+/// Uniform n=30 r=2 tables at P=1: 50k and 524k keys, the shapes the cost
+/// rule's constant is measured on (EXPERIMENTS.md, "Marginal cost rule").
+const PotentialTable& path_table(std::int64_t kilo_rows) {
+  static const PotentialTable small =
+      WaitFreeBuilder().build(generate_uniform(50000, 30, 2, 15));
+  static const PotentialTable large =
+      WaitFreeBuilder().build(generate_uniform(std::size_t{1} << 19, 30, 2, 16));
+  return kilo_rows == 50 ? small : large;
+}
+
+/// One marginal on a forced path: arg 0 is the path (0 popcount, 1
+/// projector), arg 1 the variable count, arg 2 the table (50 or 524 k rows).
+/// Counters carry the cost rule's two sides per call: masks x mask words,
+/// and keys x terms.
+void BM_MarginalizePath(benchmark::State& state) {
+  const auto path =
+      state.range(0) == 0 ? MarginalPath::kPopcount : MarginalPath::kProjector;
+  const auto k = static_cast<std::size_t>(state.range(1));
+  const PotentialTable& table = path_table(state.range(2));
+  const std::vector<std::size_t> spread = {0, 7, 14, 21, 28, 3, 10, 17, 24, 1, 8, 15};
+  const std::vector<std::size_t> vars(spread.begin(),
+                                      spread.begin() + static_cast<long>(k));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(detail::marginalize_on(path, table, vars));
+  }
+  const double masks = static_cast<double>((std::uint64_t{1} << (k + 1)) - 2);
+  state.counters["mask_words"] =
+      masks * static_cast<double>(table.frozen().mask_words());
+  state.counters["key_terms"] =
+      static_cast<double>(table.distinct_keys()) * static_cast<double>(k);
+}
+BENCHMARK(BM_MarginalizePath)
+    ->ArgsProduct({{0, 1}, {1, 2, 5, 8, 10, 12}, {50, 524}})
+    ->Unit(benchmark::kMillisecond);
+
 void BM_AllPairsMiFused(benchmark::State& state) {
   const Dataset data = generate_uniform(20000, 16, 2, 13);
   WaitFreeBuilderOptions options;

@@ -6,23 +6,26 @@
 //
 // Two scheduling strategies (DESIGN.md ablation ABL-MI):
 //  - kPairParallel   pairs are block-distributed over the workers; each
-//                    worker sweeps the whole table per pair (Algorithm 4's
-//                    round-robin pair scheduling).
-//  - kFused          one parallel sweep of the table as a bit-sliced Gram
-//                    kernel. Work items are fixed slot ranges of any
-//                    partition. Each item's entries are transposed, 64 at a
-//                    time, into one bit-word per one-hot column (variable v,
-//                    state a < r_v − 1) and per bit-plane of the counts, and
-//                    folded into the worker's upper-triangle accumulator
-//                    N(c1, c2) = Σ_k popcount(col_c1 & col_c2 & plane_k) << k.
-//                    After an exact sum across workers, each pair's full
-//                    r_i × r_j table follows from its Gram cells, the
-//                    marginals (the diagonal) and the total by subtraction.
-//                    The counts are the integers kPairParallel scatters, so
-//                    the two strategies' MI matrices are bit-identical.
+//                    worker sweeps the frozen keys once per pair
+//                    (Algorithm 4's round-robin pair scheduling).
+//  - kFused          one parallel pass over the table's frozen view
+//                    (table/frozen_table.hpp) as a bit-sliced Gram kernel.
+//                    Work items are the view's items. Each item's stored
+//                    one-hot column words (variable v, state a < r_v − 1)
+//                    and excess bit-planes are folded into the worker's
+//                    upper-triangle accumulator N(c1, c2) =
+//                    popcount(col_c1 & col_c2) +
+//                    Σ_k popcount(col_c1 & col_c2 & plane_k) << k; nothing is
+//                    transposed per pass. After an exact sum across workers,
+//                    each pair's full r_i × r_j table follows from its Gram
+//                    cells, the marginals (the diagonal) and the total by
+//                    subtraction. The counts are the integers kPairParallel
+//                    scatters, so the two strategies' MI matrices are
+//                    bit-identical.
 //
-// A template over the key type; both strategies decode single variables
-// through KeyTraits' VarLeg recipe, so each works at both key widths.
+// A template over the key type; the pair-parallel sweep decodes single
+// variables of the frozen keys through KeyTraits' VarLeg recipe, so both
+// strategies work at both key widths.
 #pragma once
 
 #include <cstdint>

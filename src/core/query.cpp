@@ -49,6 +49,9 @@ template <typename K>
 double BasicQueryEngine<K>::evidence_probability(
     std::span<const Evidence> evidence) const {
   WFBN_EXPECT(!evidence.empty(), "evidence must be non-empty");
+  // Every term is checked, the first included: its state indexes the
+  // marginal below.
+  check_evidence(table_->codec().cardinalities(), {}, evidence);
   // Count matching rows by marginalizing the first evidence variable under
   // the remaining filters, then selecting its observed state.
   const std::size_t vars[] = {evidence.front().variable};

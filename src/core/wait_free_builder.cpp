@@ -184,23 +184,36 @@ BasicPotentialTable<K> BasicWaitFreeBuilder<K>::build(const Dataset& data,
       expected_entries_per_partition(data, codec, P));
   Timer total_timer;
   run_phased(data, codec, table, pool);
+  Table out(codec, std::move(table),
+            static_cast<std::uint64_t>(data.sample_count()), pool);
   stats_.total_seconds = total_timer.seconds();
-  return Table(codec, std::move(table),
-               static_cast<std::uint64_t>(data.sample_count()));
+  return out;
 }
 
 template <typename K>
 void BasicWaitFreeBuilder<K>::append(const Dataset& data, Table& table) {
+  table = fold(data, table);
+}
+
+template <typename K>
+BasicPotentialTable<K> BasicWaitFreeBuilder<K>::append_shadow(
+    const Dataset& data, const Table& base) {
+  return fold(data, base);
+}
+
+template <typename K>
+BasicPotentialTable<K> BasicWaitFreeBuilder<K>::fold(const Dataset& data,
+                                                     const Table& base) {
   WFBN_EXPECT(data.sample_count() > 0, "cannot append an empty batch");
-  if (data.cardinalities() != table.codec().cardinalities()) {
+  if (data.cardinalities() != base.codec().cardinalities()) {
     throw DataError("batch cardinalities do not match the table's codec");
   }
-  if (table.partitions().rebalanced()) {
+  if (base.partitions().rebalanced()) {
     throw DataError(
         "table was rebalanced — construction-time ownership no longer holds, "
         "rebuild instead of appending");
   }
-  const std::size_t parts = table.partitions().partition_count();
+  const std::size_t parts = base.partitions().partition_count();
   Timer total_timer;
   // A degraded pool (spawn failures) yields fewer workers than partitions;
   // run_phased block-assigns partitions to whatever workers exist.
@@ -208,37 +221,30 @@ void BasicWaitFreeBuilder<K>::append(const Dataset& data, Table& table) {
 
   // Stage the batch into scratch partitions with the same ownership geometry
   // (same P, scheme, and state space, so owner_of agrees with the table).
-  // Any failure up to and including the kernel leaves `table` untouched.
   BasicPartitionedTable<K> scratch(
-      parts, table.partitions().state_space(), table.partitions().scheme(),
-      expected_entries_per_partition(data, table.codec(), parts));
-  run_phased(data, table.codec(), scratch, pool);
+      parts, base.partitions().state_space(), base.partitions().scheme(),
+      expected_entries_per_partition(data, base.codec(), parts));
+  run_phased(data, base.codec(), scratch, pool);
 
   WFBN_FAULT_POINT(fault::Point::kAppendCommit);
 
-  // Commit. Reserving destination capacity first means the merge increments
-  // below can never reallocate: after this loop the fold cannot fail, which
-  // is what upgrades append() to the strong guarantee.
+  // Commit into a copy of the partitions, sized up front so the merge never
+  // rehashes mid-fold, then freeze the result as a new table.
+  BasicPartitionedTable<K> merged = base.partitions();
   for (std::size_t p = 0; p < parts; ++p) {
-    BasicOpenHashTable<K>& dst = table.partitions().partition(p);
+    BasicOpenHashTable<K>& dst = merged.partition(p);
     dst.reserve(dst.size() + scratch.partition(p).size());
   }
   pool.run([&](std::size_t w) {
     const auto [lo, hi] = ThreadPool::block_range(parts, pool.size(), w);
     for (std::size_t p = lo; p < hi; ++p) {
-      table.partitions().partition(p).merge_from(scratch.partition(p));
+      merged.partition(p).merge_from(scratch.partition(p));
     }
   });
+  Table out(base.codec(), std::move(merged),
+            base.sample_count() + data.sample_count(), pool);
   stats_.total_seconds = total_timer.seconds();
-  table.record_additional_samples(data.sample_count());
-}
-
-template <typename K>
-BasicPotentialTable<K> BasicWaitFreeBuilder<K>::append_shadow(
-    const Dataset& data, const Table& base) {
-  Table shadow = base;
-  append(data, shadow);
-  return shadow;
+  return out;
 }
 
 template <typename K>

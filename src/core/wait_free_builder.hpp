@@ -72,6 +72,7 @@ struct WorkerStats {
 
 struct BuildStats {
   std::vector<WorkerStats> workers;
+  /// Whole build or append, the freeze of the finished table included.
   double total_seconds = 0.0;
   /// Barrier crossing cost: the max over workers of the time spent inside
   /// arrive_and_wait (the slowest worker's wait dominates the makespan).
@@ -130,20 +131,19 @@ class BasicWaitFreeBuilder {
   /// DataError/PreconditionError on violation.
   ///
   /// Strong exception-safety guarantee: the batch is staged into scratch
-  /// partitions and committed only after the full two-stage kernel succeeded
-  /// (with the commit's destination capacity reserved up front, so the merge
-  /// itself cannot fail). If anything throws mid-append — a worker kernel, a
-  /// queue allocation, an injected fault — the table is bit-identical to its
-  /// pre-call state, including its sample count.
+  /// partitions, merged into a copy of the table's partitions and frozen;
+  /// only the finished table replaces `table` (a non-throwing move). If
+  /// anything throws mid-append — a worker kernel, a queue allocation, the
+  /// freeze, an injected fault — the table is bit-identical to its pre-call
+  /// state, including its sample count and frozen view.
   void append(const Dataset& data, Table& table);
 
   /// Shadow-copy update — the publication hook of the serving layer
-  /// (serve::TableStore): deep-copies `base`, folds `data` into the copy with
-  /// append()'s staged two-stage kernel, and returns the copy. `base` itself
-  /// is never written, so concurrent readers may keep sweeping it for the
-  /// whole duration of the fold; the caller decides when (and whether) to
-  /// publish the result. Same preconditions as append(); a throw discards the
-  /// shadow, making the strong guarantee trivial.
+  /// (serve::TableStore): folds `data` into a copy of `base` with append()'s
+  /// staged two-stage kernel and returns it, frozen. `base` itself is never
+  /// written, so concurrent readers may keep sweeping it for the whole
+  /// duration of the fold; the caller decides when (and whether) to publish
+  /// the result. Same preconditions as append(); a throw discards the shadow.
   [[nodiscard]] Table append_shadow(const Dataset& data, const Table& base);
 
   /// Instrumentation from the most recent build().
@@ -161,6 +161,8 @@ class BasicWaitFreeBuilder {
   /// one-writer-per-partition invariant at reduced parallelism.
   void run_phased(const Dataset& data, const Codec& codec,
                   BasicPartitionedTable<K>& table, ThreadPool& pool);
+  /// append() and append_shadow(): `base` plus `data`, as a new table.
+  [[nodiscard]] Table fold(const Dataset& data, const Table& base);
   [[nodiscard]] std::size_t expected_entries_per_partition(
       const Dataset& data, const Codec& codec, std::size_t threads) const;
 

@@ -328,6 +328,12 @@ Request decode_request(std::span<const std::uint8_t> payload) {
   return request;
 }
 
+// The header of a values answer, as serve::kMaxQueryCells budgets it.
+static_assert(sizeof(Response::id) + 2 * sizeof(std::uint8_t) +
+                  sizeof(Response::retry_after_ms) + sizeof(Response::version) +
+                  sizeof(std::uint8_t) + sizeof(std::uint32_t) ==
+              serve::kAnswerHeaderBytes);
+
 std::vector<std::uint8_t> encode_response(const Response& response) {
   std::vector<std::uint8_t> out;
   bio::put_pod(out, response.id);

@@ -31,6 +31,7 @@
 #include "core/query.hpp"
 #include "data/dataset.hpp"
 #include "learn/ci_scheduler.hpp"
+#include "net/frame.hpp"
 #include "serve/result_cache.hpp"
 #include "serve/table_store.hpp"
 
@@ -42,11 +43,21 @@ struct ServeOptions {
   std::size_t cache_entries_per_shard = 4096;
 };
 
-/// Largest dense answer a query may ask for: ∏ r over its variables. A
-/// marginal or conditional past it is refused before anything is allocated —
-/// one query over all 30 binary variables would otherwise zero-fill 8 GiB.
-/// 2^24 cells are 128 MiB of counts.
-inline constexpr std::uint64_t kMaxQueryCells = std::uint64_t{1} << 24;
+/// Bytes of a values answer ahead of its cells on the wire (net/wire.cpp):
+/// request id, opcode, status, retry-after, version, cache-hit flag and
+/// value count.
+inline constexpr std::size_t kAnswerHeaderBytes = 8 + 1 + 1 + 2 + 8 + 1 + 4;
+
+/// Largest dense answer a query may ask for: ∏ r over its variables. It is
+/// as many 8-byte values as one response frame carries (8,388,604). A
+/// marginal or conditional past it is refused before anything is allocated:
+/// one query over all 30 binary variables would otherwise zero-fill 8 GiB,
+/// and an answer the frame cannot carry would cost the client its
+/// connection.
+inline constexpr std::uint64_t kMaxQueryCells =
+    (net::kMaxPayloadBytes - kAnswerHeaderBytes) / sizeof(double);
+static_assert(kMaxQueryCells * sizeof(double) + kAnswerHeaderBytes <=
+              net::kMaxPayloadBytes);
 
 enum class QueryKind : std::uint8_t {
   kMarginal,     ///< P(V) over `variables`

@@ -73,13 +73,13 @@ ScalingCurve ScalingSimulator::all_pairs_mi(
     WaitFreeBuilderOptions options;
     options.threads = p;
     WaitFreeBuilder builder(options);
-    PotentialTable table = builder.build(data);
-    // Algorithm 3 runs one core per partition; rebalance first, as §IV-C
-    // prescribes for unbalanced tables.
-    table.partitions().rebalance();
-    std::vector<std::uint64_t> per_core_entries(p, 0);
-    for (std::size_t part = 0; part < p; ++part) {
-      per_core_entries[part] = table.partitions().partition(part).size();
+    const PotentialTable table = builder.build(data);
+    // Algorithm 3 runs one core per partition; rebalanced, as §IV-C
+    // prescribes for unbalanced tables, populations differ by at most one.
+    const std::size_t keys = table.distinct_keys();
+    std::vector<std::uint64_t> per_core_entries(p, keys / p);
+    for (std::size_t part = 0; part < keys % p; ++part) {
+      ++per_core_entries[part];
     }
     const double seconds =
         predict_sweep_seconds(model_, per_core_entries, 2, pair_sweeps);

@@ -1,6 +1,8 @@
 // Projection of full keys onto the cell index of a variable subset's marginal
-// table — the inner loop of the marginalization primitive (paper Eq. 4 per
-// kept variable, never the whole state string). For a subset
+// table (paper Eq. 4 per kept variable, never the whole state string). The
+// marginalization primitive uses it to validate a variable list and fix the
+// output layout; its sweeps decode states from the frozen view's columns
+// instead. For a subset
 // V = (v_1, ..., v_k), whose order defines the marginal table's layout:
 //   project(key) = sum_i decode(key, v_i) * out_stride_i,
 //   out_stride_1 = 1,  out_stride_{i+1} = out_stride_i * r_{v_i}.

@@ -11,7 +11,17 @@ BasicPotentialTable<K>::BasicPotentialTable(Codec codec, Partitions partitions,
                                             std::uint64_t sample_count)
     : codec_(std::move(codec)),
       partitions_(std::move(partitions)),
-      samples_(sample_count) {}
+      samples_(sample_count),
+      frozen_(FrozenTable::freeze<K>(codec_, partitions_, nullptr)) {}
+
+template <typename K>
+BasicPotentialTable<K>::BasicPotentialTable(Codec codec, Partitions partitions,
+                                            std::uint64_t sample_count,
+                                            ThreadPool& pool)
+    : codec_(std::move(codec)),
+      partitions_(std::move(partitions)),
+      samples_(sample_count),
+      frozen_(FrozenTable::freeze<K>(codec_, partitions_, &pool)) {}
 
 template <typename K>
 std::uint64_t BasicPotentialTable<K>::count_of(
@@ -21,13 +31,20 @@ std::uint64_t BasicPotentialTable<K>::count_of(
 }
 
 template <typename K>
+std::size_t BasicPotentialTable<K>::rebalance() {
+  const std::size_t moved = partitions_.rebalance();
+  frozen_ = FrozenTable::freeze<K>(codec_, partitions_, nullptr);
+  return moved;
+}
+
+template <typename K>
 bool BasicPotentialTable<K>::validate() const {
   if (partitions_.total_count() != samples_) return false;
   bool in_range = true;
   partitions_.for_each([&](K key, std::uint64_t count) {
     if (!Traits::key_in_range(codec_, key) || count == 0) in_range = false;
   });
-  return in_range;
+  return in_range && *frozen_ == *FrozenTable::freeze<K>(codec_, partitions_, nullptr);
 }
 
 template class BasicPotentialTable<Key>;

@@ -56,6 +56,7 @@ const char* point_name(Point point) noexcept {
     case Point::kAdmissionReject: return "admission.reject";
     case Point::kLearnCiTest: return "learn.ci_test";
     case Point::kLearnSchedule: return "learn.schedule";
+    case Point::kFreezeItem: return "table.freeze";
   }
   return "unknown";
 }

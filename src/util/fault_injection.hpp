@@ -39,7 +39,7 @@ enum class Point : int {
   kBarrier,           ///< builder, just before the barrier crossing
   kStage2Drain,       ///< builder stage 2, once per drained key
   kAppendCommit,      ///< append(), after staging and before the commit
-  kMarginalizeSweep,  ///< marginalizer worker, once per swept partition
+  kMarginalizeSweep,  ///< marginalizer worker, once per swept item range
   kMiSweep,           ///< all-pairs-MI worker, once per unit of sweep work
   kServePublish,      ///< TableStore::ingest, after the shadow fold and
                       ///< before the atomic snapshot swap
@@ -70,8 +70,11 @@ enum class Point : int {
                       ///< round completes; the learner's graphs are only
                       ///< mutated after a successful batch, so no torn state)
   kLearnSchedule,     ///< CI scheduler, before dispatching each work item
+  kFreezeItem,        ///< table freeze, once per frozen item (a throw
+                      ///< leaves no frozen view: the table is not built,
+                      ///< appended or published)
 };
-inline constexpr int kPointCount = static_cast<int>(Point::kLearnSchedule) + 1;
+inline constexpr int kPointCount = static_cast<int>(Point::kFreezeItem) + 1;
 
 [[nodiscard]] const char* point_name(Point point) noexcept;
 

@@ -298,5 +298,29 @@ TEST(GramOracle, OnePartitionTableSpreadsOverThePool) {
                  .compute(table));
 }
 
+TEST(GramOracle, AppendedTableIsBitIdenticalToFreshBuild) {
+  // The view an append freezes reads the same integers as the view of one
+  // build over the same rows, though their slots differ.
+  const Dataset base = generate_chain_correlated(9000, 12, 3, 0.6, 39);
+  const Dataset batch = generate_chain_correlated(4000, 12, 3, 0.6, 40);
+  std::vector<State> rows(base.raw().begin(), base.raw().end());
+  rows.insert(rows.end(), batch.raw().begin(), batch.raw().end());
+  const Dataset both(base.sample_count() + batch.sample_count(),
+                     base.cardinalities(), std::move(rows));
+  WaitFreeBuilderOptions options;
+  options.threads = 3;
+  WaitFreeBuilder builder(options);
+  PotentialTable appended = builder.build(base);
+  builder.append(batch, appended);
+  const PotentialTable fresh = builder.build(both);
+  ASSERT_TRUE(appended.validate());
+  EXPECT_EQ(appended.frozen().entries(), fresh.frozen().entries());
+  for (const AllPairsStrategy strategy :
+       {AllPairsStrategy::kFused, AllPairsStrategy::kPairParallel}) {
+    expect_bit_identical(AllPairsMi(AllPairsOptions{2, strategy}).compute(appended),
+                         AllPairsMi(AllPairsOptions{2, strategy}).compute(fresh));
+  }
+}
+
 }  // namespace
 }  // namespace wfbn

@@ -22,6 +22,7 @@
 #include "serve/persist/snapshot_reader.hpp"
 #include "serve/persist/snapshot_writer.hpp"
 #include "serve/snapshot.hpp"
+#include "serve/table_store.hpp"
 #include "util/error.hpp"
 #include "util/fault_injection.hpp"
 
@@ -129,6 +130,50 @@ TEST(FaultInjection, MarginalizeThrowsTypedErrorOrStaysExact) {
     // The input table survives either way.
     ASSERT_TRUE(table.validate());
   }
+}
+
+TEST(FaultInjection, FreezeThrowPublishesNoHalfFrozenTable) {
+  // A throw mid-freeze leaves no table behind: a build throws, an append
+  // leaves the table (and the view it serves) as it was, and an ingest
+  // publishes nothing.
+  const Dataset base = generate_uniform(20000, 10, 3, 9);
+  const Dataset batch = generate_uniform(3000, 10, 3, 10);
+  WaitFreeBuilderOptions options;
+  options.threads = 4;
+  WaitFreeBuilder builder(options);
+  PotentialTable table = builder.build(base);
+  const std::size_t vars[] = {0, 3};
+  const MarginalTable before = marginalize(table, vars);
+  ASSERT_GT(table.frozen().items().size(), 1u);
+  for (const std::uint64_t fire_on : {1ull, 2ull}) {
+    {
+      fault::ScopedFaultInjection injection;
+      fault::arm(fault::Point::kFreezeItem, fire_on);
+      EXPECT_THROW((void)builder.build(base), InjectedFault);
+    }
+    {
+      fault::ScopedFaultInjection injection;
+      fault::arm(fault::Point::kFreezeItem, fire_on);
+      EXPECT_THROW(builder.append(batch, table), InjectedFault);
+    }
+    ASSERT_TRUE(table.validate());
+    EXPECT_EQ(table.sample_count(), base.sample_count());
+    EXPECT_EQ(marginalize(table, vars).raw_counts(), before.raw_counts());
+
+    serve::TableStore store(table);
+    {
+      fault::ScopedFaultInjection injection;
+      fault::arm(fault::Point::kFreezeItem, fire_on);
+      EXPECT_THROW((void)store.ingest(batch), InjectedFault);
+    }
+    EXPECT_EQ(store.version(), 1u);
+    ASSERT_TRUE(store.current()->table().validate());
+    EXPECT_EQ(store.current()->table().sample_count(), base.sample_count());
+  }
+  // Disarmed, the same calls go through.
+  builder.append(batch, table);
+  EXPECT_EQ(table.sample_count(), base.sample_count() + batch.sample_count());
+  ASSERT_TRUE(table.validate());
 }
 
 TEST(FaultInjection, AllPairsMiThrowsTypedErrorOrCompletes) {

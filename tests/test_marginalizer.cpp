@@ -11,10 +11,13 @@
 #include <type_traits>
 #include <vector>
 
+#include "bn/repository.hpp"
+#include "bn/sampling.hpp"
 #include "core/marginalizer.hpp"
 #include "core/wait_free_builder.hpp"
 #include "data/generators.hpp"
 #include "util/error.hpp"
+#include "util/simd.hpp"
 
 namespace wfbn {
 namespace {
@@ -113,7 +116,7 @@ TEST(Marginalizer, WorksAfterRebalance) {
   const MarginalTable before = marginalize(table, vars, {}, pool);
   // Rebalancing may break construction-time ownership, which marginalization
   // does not rely on (paper §IV-C).
-  table.partitions().rebalance();
+  table.rebalance();
   const MarginalTable after = marginalize(table, vars, {}, pool);
   expect_same(before, after);
 }
@@ -260,6 +263,154 @@ TYPED_TEST(KernelSweep, InlineAndPoolSweepsMatchBruteForceRowCounts) {
     }
     EXPECT_GE(checked, 5u * 2u * 3u * 3u);
   }
+}
+
+// ---------------------------------------------------------------------------
+// The frozen view's two read paths: key width × r ∈ {2, 3, 8} (and the wide
+// 70-variable case) × both simd levels × {inline, pool 1, 2, 8} × evidence
+// {none, 1 term, 2 terms, a last-state term}, each path forced and the cost
+// rule's own pick, every result against brute_force().
+
+template <typename K>
+std::vector<SweepData> frozen_datasets() {
+  std::vector<SweepData> out;
+  for (const std::uint32_t r : {2u, 3u, 8u}) {
+    Dataset data = generate_chain_correlated(4000, 6, r, 0.7, 40 + r);
+    // Terms on variables 1 and 4; the second observes the last state.
+    out.push_back(SweepData{std::move(data),
+                            {{1, 0}, {4, static_cast<State>(r - 1)}}});
+  }
+  if constexpr (std::is_same_v<K, WideKey>) {
+    out.push_back(SweepData{generate_chain_correlated(3000, 70, 2, 0.8, 44),
+                            {{66, 1}, {2, 0}}});
+  }
+  return out;
+}
+
+template <typename K>
+class FrozenSweep : public ::testing::Test {};
+TYPED_TEST_SUITE(FrozenSweep, KeyWidths);
+
+TYPED_TEST(FrozenSweep, BothPathsAndTheRuleMatchBruteForceRowCounts) {
+  using K = TypeParam;
+  constexpr std::size_t kInline = 0;
+  const std::size_t modes[] = {kInline, 1, 2, 8};
+  std::map<std::size_t, std::unique_ptr<ThreadPool>> pools;
+  for (const std::size_t w : modes) {
+    if (w != kInline) pools[w] = std::make_unique<ThreadPool>(w);
+  }
+  std::map<MarginalPath, std::size_t> ruled;
+  std::size_t checked = 0;
+  for (const SweepData& set : frozen_datasets<K>()) {
+    WaitFreeBuilderOptions options;
+    options.threads = 3;
+    const BasicPotentialTable<K> table =
+        BasicWaitFreeBuilder<K>(options).build(set.data);
+    ASSERT_TRUE(table.validate());
+    // Evidence: none, the first term, both terms, the last-state term alone.
+    std::vector<std::vector<Evidence>> filters = {
+        {}, {set.evidence[0]}, set.evidence, {set.evidence[1]}};
+    for (const simd::Level cap : {simd::detected(), simd::Level::kScalar}) {
+      const simd::ScopedForceLevel force(cap);
+      for (const std::vector<Evidence>& evidence : filters) {
+        for (const auto& vars : sweep_subsets(set.data, evidence)) {
+          SCOPED_TRACE("n=" + std::to_string(set.data.variable_count()) +
+                       " r=" + std::to_string(set.data.cardinalities()[0]) +
+                       " simd=" + simd::level_name(cap) +
+                       " terms=" + std::to_string(evidence.size()) +
+                       " |V|=" + std::to_string(vars.size()));
+          const MarginalTable expected = brute_force(set.data, vars, evidence);
+          for (const MarginalPath path :
+               {MarginalPath::kPopcount, MarginalPath::kProjector}) {
+            expect_same(detail::marginalize_on(path, table, vars, evidence),
+                        expected);
+          }
+          ++ruled[marginal_path(table, vars, evidence)];
+          for (const std::size_t mode : modes) {
+            expect_same(mode == kInline
+                            ? marginalize(table, vars, evidence)
+                            : marginalize(table, vars, evidence,
+                                          *pools.at(mode)),
+                        expected);
+            ++checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GE(checked, 3u * 2u * 4u * 3u * 4u);
+  // The rule itself took both paths somewhere in the sweep.
+  EXPECT_GT(ruled[MarginalPath::kPopcount], 0u);
+  EXPECT_GT(ruled[MarginalPath::kProjector], 0u);
+}
+
+TEST(MarginalCostRule, AlarmSizedMarginalTakesTheProjectorPath) {
+  // ALARM's largest CI marginal spans 27,648 cells (five 4-state and three
+  // 3-state variables); its 1-2 variable marginals are tiny.
+  const BayesianNetwork alarm = load_network(RepositoryNetwork::kAlarm);
+  const Dataset data = forward_sample(alarm, std::size_t{1} << 16, 45);
+  const PotentialTable table = build_table(data, 2);
+  std::vector<std::size_t> vars;
+  std::size_t fours = 0;
+  std::size_t threes = 0;
+  for (std::size_t v = 0; v < data.variable_count(); ++v) {
+    const std::uint32_t r = data.cardinalities()[v];
+    if (r == 4 && fours < 5) {
+      vars.push_back(v);
+      ++fours;
+    } else if (r == 3 && threes < 3) {
+      vars.push_back(v);
+      ++threes;
+    }
+  }
+  ASSERT_EQ(vars.size(), 8u);
+  const MarginalTable wide = marginalize(table, vars);
+  ASSERT_EQ(wide.cell_count(), 27648u);
+  EXPECT_EQ(marginal_path(table, vars), MarginalPath::kProjector);
+  expect_same(wide, brute_force(data, vars));
+
+  const std::size_t one[] = {vars[0]};
+  const std::size_t two[] = {vars[0], vars[5]};
+  EXPECT_EQ(marginal_path(table, one), MarginalPath::kPopcount);
+  EXPECT_EQ(marginal_path(table, two), MarginalPath::kPopcount);
+  expect_same(marginalize(table, two), brute_force(data, two));
+}
+
+TEST(FrozenView, AppendShadowAndRebalanceRefreezeTheTable) {
+  // After every way a table changes, its view equals a fresh freeze of its
+  // partitions (validate() checks it) and its marginals match the rows.
+  const Dataset base = generate_skewed(6000, 10, 3, 1e-3, 0.8, 46);
+  const Dataset batch = generate_skewed(2500, 10, 3, 1e-3, 0.8, 47);
+  std::vector<State> rows(base.raw().begin(), base.raw().end());
+  rows.insert(rows.end(), batch.raw().begin(), batch.raw().end());
+  const Dataset both(base.sample_count() + batch.sample_count(),
+                     base.cardinalities(), std::move(rows));
+  const std::size_t vars[] = {2, 7};
+  const Evidence evidence[] = {{5, 2}};
+
+  WaitFreeBuilderOptions options;
+  options.threads = 4;
+  WaitFreeBuilder builder(options);
+  PotentialTable table = builder.build(base);
+  const PotentialTable shadow = builder.append_shadow(batch, table);
+  ASSERT_TRUE(shadow.validate());
+  EXPECT_EQ(shadow.frozen(), *FrozenTable::freeze<Key>(
+                                 shadow.codec(), shadow.partitions(), nullptr));
+  expect_same(marginalize(shadow, vars, evidence),
+              brute_force(both, vars, evidence));
+  // The base still serves its own view.
+  ASSERT_TRUE(table.validate());
+  expect_same(marginalize(table, vars), brute_force(base, vars));
+
+  builder.append(batch, table);
+  ASSERT_TRUE(table.validate());
+  expect_same(marginalize(table, vars, evidence),
+              brute_force(both, vars, evidence));
+
+  table.rebalance();
+  ASSERT_TRUE(table.validate());
+  expect_same(marginalize(table, vars, evidence),
+              brute_force(both, vars, evidence));
 }
 
 }  // namespace

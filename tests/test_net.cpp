@@ -895,6 +895,76 @@ TEST(ServeServer, WidthMismatchIsBadRequestNotDisconnect) {
   EXPECT_EQ(ok.status, Status::kOk);
 }
 
+// The cell cap is what one response frame carries. Cardinalities of at
+// most 256 cannot multiply to the cap itself (8,388,604 = 4 * 7^2 * 127 *
+// 337), so the two sides are the nearest answers that exist: 155 * 220 *
+// 246 = 8,388,600 cells (4 under) and 128 * 256 * 256 = 8,388,608 (4 over).
+// The exact byte boundary is pinned by Wire.LargestAllowedAnswerFillsOneFrame.
+Dataset cap_dataset() {
+  return generate_uniform(64, std::vector<std::uint32_t>{155, 220, 246, 128,
+                                                         256, 256},
+                          0xCA9);
+}
+
+TEST(Wire, LargestAllowedAnswerFillsOneFrame) {
+  Response response;
+  response.id = 1;
+  response.opcode = Opcode::kMarginal;
+  response.values.assign(serve::kMaxQueryCells, 0.0);
+  std::vector<std::uint8_t> payload = net::encode_response(response);
+  EXPECT_LE(payload.size(), net::kMaxPayloadBytes);
+  EXPECT_GT(payload.size() + sizeof(double), net::kMaxPayloadBytes);
+  payload.clear();
+  payload.shrink_to_fit();
+  response.values.push_back(0.0);
+  EXPECT_GT(net::encode_response(response).size(), net::kMaxPayloadBytes);
+}
+
+TEST(ServeServer, LargestAllowedMarginalIsAnsweredOverTheWire) {
+  serve::TableStore store(build(cap_dataset(), 2));
+  serve::ServeOptions serve_options;
+  serve_options.cache_enabled = false;
+  serve::ServeEngine engine(store, serve_options);
+  ThreadPool pool(2);
+  ServeServer server(engine, pool, ServerOptions{});
+  server.start();
+  ClientOptions options;
+  options.port = server.port();
+  ServeClient client(options);
+
+  const std::vector<std::size_t> vars = {0, 1, 2};
+  ASSERT_LE(155u * 220u * 246u, serve::kMaxQueryCells);
+  const Response answered = client.call(marginal_request(1, vars));
+  ASSERT_EQ(answered.status, Status::kOk) << answered.error;
+  ASSERT_EQ(answered.values.size(), 155u * 220u * 246u);
+  EXPECT_TRUE(bytes_equal(
+      answered.values, QueryEngine(store.current()->table()).marginal(vars)));
+}
+
+TEST(ServeServer, MarginalPastTheCapIsAnErrorNextQueryAnswered) {
+  serve::TableStore store(build(cap_dataset(), 2));
+  serve::ServeEngine engine(store);
+  ThreadPool pool(2);
+  ServeServer server(engine, pool, ServerOptions{});
+  server.start();
+  ClientOptions options;
+  options.port = server.port();
+  ServeClient client(options);
+
+  const std::vector<std::size_t> past = {3, 4, 5};
+  ASSERT_GT(128u * 256u * 256u, serve::kMaxQueryCells);
+  const Response refused = client.call(marginal_request(1, past));
+  EXPECT_EQ(refused.status, Status::kError);
+  EXPECT_NE(refused.error.find("cell cap"), std::string::npos) << refused.error;
+
+  const std::vector<std::size_t> pair = {0, 3};
+  const Response ok = client.call(marginal_request(2, pair));
+  ASSERT_EQ(ok.status, Status::kOk) << ok.error;
+  EXPECT_EQ(ok.id, 2u);
+  EXPECT_TRUE(bytes_equal(
+      ok.values, QueryEngine(store.current()->table()).marginal(pair)));
+}
+
 TEST(ServeServer, OversizedQueryIsAnErrorConnectionSurvives) {
   // MARGINAL over all 25 binary variables asks for a 2^25-cell answer, past
   // the serving cap: the server answers with an error status, allocates

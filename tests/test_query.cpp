@@ -83,6 +83,22 @@ TEST(QueryEngine, EvidenceProbability) {
   EXPECT_NEAR(engine.evidence_probability(e2), 0.3, 1e-12);
 }
 
+TEST(QueryEngine, EvidenceProbabilityChecksTheFirstTermToo) {
+  // The first term's state indexes the marginal of its variable: state 7 of
+  // a binary variable is refused, not read past the two cells.
+  const PotentialTable table = build(tiny_dataset(), 2);
+  const QueryEngine engine(table);
+  const Evidence first_out_of_range[] = {{0, 7}};
+  EXPECT_THROW((void)engine.evidence_probability(first_out_of_range),
+               PreconditionError);
+  const Evidence first_var_out_of_range[] = {{9, 0}, {1, 1}};
+  EXPECT_THROW((void)engine.evidence_probability(first_var_out_of_range),
+               PreconditionError);
+  const Evidence later_out_of_range[] = {{0, 1}, {1, 2}};
+  EXPECT_THROW((void)engine.evidence_probability(later_out_of_range),
+               PreconditionError);
+}
+
 TEST(QueryEngine, MostProbableState) {
   const PotentialTable table = build(tiny_dataset(), 2);
   ThreadPool pool(2);

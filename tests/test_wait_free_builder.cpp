@@ -258,7 +258,7 @@ TEST(WaitFreeBuilder, AppendRejectsRebalancedTable) {
   options.threads = 4;
   WaitFreeBuilder builder(options);
   PotentialTable table = builder.build(base);
-  table.partitions().rebalance();
+  table.rebalance();
   EXPECT_THROW(builder.append(base, table), DataError);
 }
 
